@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Measure single-simulation wall time: optimized tick vs the legacy tick.
+"""Measure single-simulation wall time of the scheduler, with its tick breakdown.
 
 One fixed, mid-size synthetic workload (setting-1 Type-1 jobs on the bench
-cluster) is run to completion through ``UrsaSystem`` twice per repeat —
-once with the PR-3 fast-path scheduler and once with ``legacy_tick=True``
-(the frozen pre-change placement + forced per-tick resort + unmemoized
-SRJF).  The best-of-N wall times give the speedup; the run also asserts
-that both modes produce pickle-identical metrics, so the speedup is never
-bought with a behavior change.
+cluster) is run to completion through ``UrsaSystem`` ``--repeats`` times;
+the best-of-N wall time is the headline.  One extra untimed profiled run
+supplies the per-phase tick breakdown and the placement counters.  Every
+run — timed, profiled, and the optional traced (``--trace-out``) and
+telemetry (``--telemetry``) runs — must produce pickle-identical metrics,
+so profiling, tracing and telemetry are checked to be pure observers.
 
 Writes a JSON baseline (default ``BENCH_sim.json``)::
 
@@ -27,14 +27,12 @@ from pathlib import Path
 
 
 def _run_once(
-    n_jobs: int, legacy: bool, profiled: bool = False, traced: bool = False,
-    telemetry: bool = False, placement: str | None = None,
+    n_jobs: int, profiled: bool = False, traced: bool = False,
+    telemetry: bool = False,
 ) -> tuple[bytes, float, dict]:
     """One full simulation; returns (metrics bytes, wall seconds, profile).
 
-    Timed repeats run *unprofiled*: the legacy placement carries no counter
-    branches, so enabling the profiler would slow only the optimized side
-    and understate the speedup.  The per-phase counters in the baseline
+    Timed repeats run *unprofiled*; the per-phase counters in the baseline
     come from one extra untimed profiled run.  ``traced=True`` records the
     monotask lifecycle through ``repro.obs`` (also untimed, for the
     tracing-is-pure-observation identity check and ``--trace-out``);
@@ -43,7 +41,7 @@ def _run_once(
     ``scripts/metrics_diff.py`` does around the *timed* repeats).
     """
     from repro.cluster import Cluster
-    from repro.experiments.common import SCALES
+    from repro.experiments.common import SCALES, require_done
     from repro.experiments.fig8_fig9_fig10_synthetic import params_for
     from repro.metrics import compute_metrics
     from repro.obs import recorder as obs_recorder
@@ -60,13 +58,7 @@ def _run_once(
         tel.begin_unit("bench_sim")
     sc = SCALES["bench"]
     cluster = Cluster(sc.cluster)
-    system = UrsaSystem(
-        cluster,
-        UrsaConfig(
-            policy="ejf", policy_weight=5.0, legacy_tick=legacy,
-            placement_mode=placement,
-        ),
-    )
+    system = UrsaSystem(cluster, UrsaConfig(policy="ejf", policy_weight=5.0))
     workload = synthetic_setting1(params_for(sc), n_jobs=n_jobs)
     submit_workload(system, workload, seed=1)
 
@@ -82,8 +74,7 @@ def _run_once(
             obs_recorder.disable()
         if telemetry:
             obs_telemetry.disable()
-    if not system.all_done:
-        raise RuntimeError("bench_sim workload did not finish")
+    require_done(system, "bench_sim workload")
     metrics = pickle.dumps(compute_metrics(system))
     extra = prof.as_dict() if prof is not None else {}
     if rec is not None:
@@ -108,30 +99,11 @@ def _phase_breakdown(prof: dict) -> dict:
     }
 
 
-def _print_breakdown_table(by_mode: dict) -> None:
-    """ASCII per-phase table: one column pair (ms, % of tick) per engine."""
-    modes = list(by_mode)
-    header = f"  {'phase':<10}" + "".join(
-        f" {mode + ' ms':>12} {'%tick':>7}" for mode in modes
-    )
-    print(header, file=sys.stderr)
-    for name in _PHASES:
-        row = f"  {name:<10}"
-        for mode in modes:
-            cell = by_mode[mode][name]
-            row += f" {cell['ms']:>12.1f} {100 * cell['share']:>6.1f}%"
-        print(row, file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N (default 3)")
     parser.add_argument("--n-jobs", type=int, default=8, help="workload size (default 8)")
     parser.add_argument("--out", default="BENCH_sim.json")
-    parser.add_argument(
-        "--skip-vector", action="store_true",
-        help="skip the vector-engine timed repeats and comparison row",
-    )
     parser.add_argument(
         "--trace-out", default=None, metavar="DIR",
         help="also run once (untimed) with lifecycle tracing enabled and "
@@ -150,46 +122,26 @@ def main(argv=None) -> int:
     print(f"bench_sim: synthetic setting-1, n_jobs={args.n_jobs}, "
           f"best of {args.repeats}", file=sys.stderr)
 
-    optimized: list[float] = []
-    legacy: list[float] = []
-    vector: list[float] = []
-    metrics_opt = metrics_leg = metrics_vec = None
+    walls: list[float] = []
+    runs: list[bytes] = []
     for rep in range(args.repeats):
-        metrics_opt, t_opt, _ = _run_once(args.n_jobs, legacy=False)
-        metrics_leg, t_leg, _ = _run_once(args.n_jobs, legacy=True)
-        line = f"  repeat {rep}: optimized {t_opt:6.2f} s   legacy {t_leg:6.2f} s"
-        if not args.skip_vector:
-            metrics_vec, t_vec, _ = _run_once(
-                args.n_jobs, legacy=False, placement="vector"
-            )
-            vector.append(t_vec)
-            line += f"   vector {t_vec:6.2f} s"
-        optimized.append(t_opt)
-        legacy.append(t_leg)
-        print(line, file=sys.stderr)
+        metrics, wall, _ = _run_once(args.n_jobs)
+        walls.append(wall)
+        runs.append(metrics)
+        print(f"  repeat {rep}: {wall:6.2f} s", file=sys.stderr)
 
     # one extra (untimed) profiled run supplies the per-phase counters and
     # doubles as the profiled-run-is-identical check
-    metrics_profiled, _, prof_opt = _run_once(args.n_jobs, legacy=False, profiled=True)
-    identical = metrics_opt == metrics_leg == metrics_profiled
-
-    prof_vec = None
-    if not args.skip_vector:
-        # profiled vector run: supplies the place-phase comparison and the
-        # vector counters, and joins the identity check — the vector engine
-        # must reproduce the scalar metrics bit-for-bit
-        metrics_vec_prof, _, prof_vec = _run_once(
-            args.n_jobs, legacy=False, profiled=True, placement="vector"
-        )
-        identical = identical and metrics_opt == metrics_vec == metrics_vec_prof
+    metrics_profiled, _, prof = _run_once(args.n_jobs, profiled=True)
+    runs.append(metrics_profiled)
 
     if args.trace_out is not None:
         # one more untimed run with the lifecycle recorder on: tracing is
         # pure observation, so its metrics must join the identity check
         from repro.obs import write_trace_files
 
-        metrics_traced, _, extra = _run_once(args.n_jobs, legacy=False, traced=True)
-        identical = identical and metrics_opt == metrics_traced
+        metrics_traced, _, extra = _run_once(args.n_jobs, traced=True)
+        runs.append(metrics_traced)
         rec = extra["recorder"]
         paths = write_trace_files(rec, args.trace_out)
         print(f"  traced run: {len(rec.events)} events -> {paths['chrome']}",
@@ -197,67 +149,37 @@ def main(argv=None) -> int:
 
     if args.telemetry:
         # telemetry is a pure observer too: its run joins the identity check
-        metrics_tel, _, extra = _run_once(args.n_jobs, legacy=False, telemetry=True)
-        identical = identical and metrics_opt == metrics_tel
-        tel = extra["telemetry"]
-        totals = tel.summary()["totals"]
+        metrics_tel, _, extra = _run_once(args.n_jobs, telemetry=True)
+        runs.append(metrics_tel)
+        totals = extra["telemetry"].summary()["totals"]
         print(f"  telemetry run: {totals['grants']:.0f} grants / "
               f"{totals['releases']:.0f} releases recorded", file=sys.stderr)
-    best_opt, best_leg = min(optimized), min(legacy)
-    speedup = best_leg / best_opt if best_opt else None
+    identical = all(m == runs[0] for m in runs)
 
-    breakdown = {"scalar": _phase_breakdown(prof_opt)}
-    if prof_vec is not None:
-        breakdown["vector"] = _phase_breakdown(prof_vec)
-    print("per-phase breakdown (profiled runs):", file=sys.stderr)
-    _print_breakdown_table(breakdown)
+    breakdown = _phase_breakdown(prof)
+    print("per-phase tick breakdown (profiled run):", file=sys.stderr)
+    print(f"  {'phase':<10} {'ms':>10} {'%tick':>7}", file=sys.stderr)
+    for name in _PHASES:
+        cell = breakdown[name]
+        print(f"  {name:<10} {cell['ms']:>10.1f} {100 * cell['share']:>6.1f}%",
+              file=sys.stderr)
 
+    best = min(walls)
     baseline = {
-        "benchmark": "single-simulation wall time (optimized tick vs legacy tick)",
+        "benchmark": "single-simulation wall time",
         "workload": f"synthetic setting-1, {args.n_jobs} Type-1 jobs, bench cluster, ejf",
         "repeats": args.repeats,
-        "profile_optimized": prof_opt,
+        "profile": prof,
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "optimized_s": [round(t, 2) for t in optimized],
-        "legacy_s": [round(t, 2) for t in legacy],
-        "optimized_best_s": round(best_opt, 2),
-        "legacy_best_s": round(best_leg, 2),
-        "speedup": round(speedup, 2) if speedup else None,
+        "wall_s": [round(t, 2) for t in walls],
+        "best_s": round(best, 2),
         "metrics_bit_identical": identical,
         "phase_breakdown": breakdown,
     }
-    if prof_vec is not None:
-        best_vec = min(vector)
-        place_speedup = (
-            prof_opt["place_ns"] / prof_vec["place_ns"]
-            if prof_vec.get("place_ns") else None
-        )
-        baseline["profile_vector"] = prof_vec
-        baseline["placement_comparison"] = {
-            "scalar_best_s": round(best_opt, 2),
-            "vector_best_s": round(best_vec, 2),
-            "vector_s": [round(t, 2) for t in vector],
-            "wall_speedup": round(best_opt / best_vec, 2) if best_vec else None,
-            "place_ns_scalar": prof_opt["place_ns"],
-            "place_ns_vector": prof_vec["place_ns"],
-            "place_speedup": round(place_speedup, 2) if place_speedup else None,
-            "vector_rows": prof_vec["vector_rows"],
-            "vector_fallbacks": prof_vec["vector_fallbacks"],
-            "vector_rebuilds": prof_vec["vector_rebuilds"],
-            "tasks_per_row": round(
-                prof_vec["tasks_scored"] / max(prof_vec["vector_rows"], 1), 1
-            ),
-        }
-        print(
-            f"  scalar vs vector: place "
-            f"{prof_opt['place_ns'] / 1e9:.2f}s -> {prof_vec['place_ns'] / 1e9:.2f}s "
-            f"({place_speedup:.2f}x), wall best {best_opt:.2f}s -> {best_vec:.2f}s",
-            file=sys.stderr,
-        )
     Path(args.out).write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    print(f"speedup {speedup:.2f}x (identical metrics: {identical}); "
-          f"wrote {args.out}", file=sys.stderr)
+    print(f"best {best:.2f}s (identical metrics: {identical}); wrote {args.out}",
+          file=sys.stderr)
     return 0 if identical else 1
 
 

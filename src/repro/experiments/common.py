@@ -33,7 +33,7 @@ from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import JobSpec, submit_workload
 
 __all__ = [
-    "Scale", "SCALES", "build_system", "run_experiment", "run_one_system",
+    "Scale", "SCALES", "build_system", "require_done", "run_experiment", "run_one_system",
     "SYSTEM_NAMES", "ExperimentResult", "MetricsResult", "metric_table_split",
 ]
 
@@ -113,6 +113,14 @@ def build_system(name: str, cluster: Cluster, **overrides):
     raise ValueError(f"unknown system {name!r}; known: {SYSTEM_NAMES}")
 
 
+def require_done(system, label: str) -> None:
+    """Fail loudly, naming the run, when a simulation stopped before every
+    job finished (e.g. it hit ``max_events``) — never report partial
+    metrics."""
+    if not system.all_done:
+        raise RuntimeError(f"{label}: did not finish")
+
+
 @dataclass
 class ExperimentResult:
     """One system's run: metrics plus handles for trace post-processing."""
@@ -152,8 +160,7 @@ def run_one_system(
     workload = workload_fn(scale)
     submit_workload(system, workload, seed=seed)
     system.run(max_events=scale.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{name}: workload did not finish")
+    require_done(system, name)
     return ExperimentResult(name, compute_metrics(system), system)
 
 

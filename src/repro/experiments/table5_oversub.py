@@ -19,7 +19,7 @@ from ..cluster import Cluster
 from ..metrics import compute_metrics, format_table, mean_straggler_ratio
 from ..perf.units import SplitExperiment
 from ..workloads import mixed_workload, submit_workload
-from .common import SCALES, Scale, build_system
+from .common import SCALES, Scale, build_system, require_done
 
 __all__ = ["run", "SPLIT", "RATIOS", "PAPER_ROWS"]
 
@@ -54,8 +54,7 @@ def run_unit(sc: Scale, key: tuple[float, str], seed: int = 0) -> dict:
         seed=seed,
     )
     system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{name} ratio={ratio}: did not finish")
+    require_done(system, f"{name} ratio={ratio}")
     return {
         "metrics": compute_metrics(system),
         "straggler_ratio": mean_straggler_ratio(system.jobs),

@@ -19,7 +19,7 @@ from ..metrics import compute_metrics, format_table
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import submit_workload, tpch2_workload
-from .common import SCALES, Scale
+from .common import SCALES, Scale, require_done
 
 __all__ = ["run", "SPLIT", "SETTINGS", "PAPER_ROWS"]
 
@@ -59,8 +59,7 @@ def run_unit(sc: Scale, key: tuple[str, str], seed: int = 0):
         seed=seed,
     )
     system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{setting}/{policy}: did not finish")
+    require_done(system, f"{setting}/{policy}")
     return compute_metrics(system)
 
 

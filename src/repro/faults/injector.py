@@ -22,7 +22,7 @@ mechanical hooks (``Worker.fault_crash``, ``JobManager.fault_rewind_task``,
 
 Everything here iterates in sorted job/task/monotask order, never in heap
 or set order, so the injected event stream is identical between the
-optimized and ``legacy_tick`` schedulers and across serial/parallel
+placement engine and its test oracle and across serial/parallel
 experiment harness runs.
 """
 

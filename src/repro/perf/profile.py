@@ -29,12 +29,12 @@ Counters (cumulative over every tick while enabled):
 * ``tasks_scored`` — best-worker searches (one per task per StageScore).
 * ``workers_scanned`` — candidate workers considered across all searches.
 * ``heap_repushes`` — stale lazy-heap tops that were re-pushed.
-* ``vector_stages`` / ``vector_rows`` / ``vector_fallbacks`` /
-  ``vector_rebuilds`` — vector-engine activity (stage scores handled by the
-  vectorized path, distinct profile rows computed, scalar fallbacks taken
-  for locality-pinned tasks, numpy column rebuilds).  All zero under the
-  scalar engine; a workload that defeats the profile dedup shows up as
-  ``vector_rows`` approaching ``tasks_scored``.
+* ``profile_rows`` — F rows built under the placement engine's
+  repeat-profile rule (one per run of same-profile tasks); a workload of
+  all-distinct profiles keeps it at zero and ``workers_scanned`` near
+  ``tasks_scored × workers``.
+* ``pinned_tasks`` — best-worker searches of locality-pinned tasks (one
+  candidate each).
 
 Phase timers are wall-clock nanoseconds per tick phase, measured with
 :func:`time.perf_counter_ns`.
@@ -55,8 +55,7 @@ class TickProfiler:
     __slots__ = (
         "ticks", "assignments", "resort_ticks", "stages_scored",
         "tasks_scored", "workers_scanned", "heap_repushes",
-        "vector_stages", "vector_rows", "vector_fallbacks",
-        "vector_rebuilds", "phase_ns",
+        "profile_rows", "pinned_tasks", "phase_ns",
     )
 
     def __init__(self):
@@ -67,10 +66,8 @@ class TickProfiler:
         self.tasks_scored = 0
         self.workers_scanned = 0
         self.heap_repushes = 0
-        self.vector_stages = 0
-        self.vector_rows = 0
-        self.vector_fallbacks = 0
-        self.vector_rebuilds = 0
+        self.profile_rows = 0
+        self.pinned_tasks = 0
         self.phase_ns = {name: 0 for name in _PHASES}
 
     # ------------------------------------------------------------------
@@ -129,17 +126,10 @@ class TickProfiler:
             f"tasks_scored={self.tasks_scored}, "
             f"workers_scanned={self.workers_scanned} "
             f"({self.workers_scanned / max(self.tasks_scored, 1):.1f}/task), "
-            f"heap_repushes={self.heap_repushes}"
+            f"heap_repushes={self.heap_repushes}, "
+            f"profile_rows={self.profile_rows}, "
+            f"pinned_tasks={self.pinned_tasks}"
         )
-        if self.vector_stages:
-            lines.append(
-                f"  vector engine: stages_vectorized={self.vector_stages}, "
-                f"profile_rows={self.vector_rows} "
-                f"({self.tasks_scored / max(self.vector_rows, 1):.1f} "
-                f"tasks/row), "
-                f"scalar_fallbacks={self.vector_fallbacks}, "
-                f"array_rebuilds={self.vector_rebuilds}"
-            )
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
@@ -152,10 +142,8 @@ class TickProfiler:
             "tasks_scored": self.tasks_scored,
             "workers_scanned": self.workers_scanned,
             "heap_repushes": self.heap_repushes,
-            "vector_stages": self.vector_stages,
-            "vector_rows": self.vector_rows,
-            "vector_fallbacks": self.vector_fallbacks,
-            "vector_rebuilds": self.vector_rebuilds,
+            "profile_rows": self.profile_rows,
+            "pinned_tasks": self.pinned_tasks,
         }
         out.update({f"{name}_ns": ns for name, ns in self.phase_ns.items()})
         return out

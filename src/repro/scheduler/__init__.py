@@ -4,9 +4,7 @@ from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
 from .queues import MonotaskQueue, QueueEntry
-from .reference import ReferenceUrsaPlacement
 from .ursa import UrsaConfig, UrsaSystem
-from .vector import VectorUrsaPlacement
 from .worker import Worker, WorkerConfig
 
 __all__ = [
@@ -18,8 +16,6 @@ __all__ = [
     "PlacementPolicy",
     "ReadyStage",
     "UrsaPlacement",
-    "ReferenceUrsaPlacement",
-    "VectorUrsaPlacement",
     "MonotaskQueue",
     "QueueEntry",
     "UrsaConfig",

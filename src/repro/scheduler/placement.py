@@ -39,15 +39,20 @@ and dominated scheduler wall time):
   (``Task.sched_usage``): the estimates they derive from are frozen when
   the task becomes ready, and the same task is re-scored many times across
   rounds while it waits for headroom.
-* The scoring loop is inlined into :meth:`UrsaPlacement._stage_score` /
-  :meth:`UrsaPlacement._best_worker` and prunes candidates with the
-  cheapest checks first (memory fit, then the zero-headroom blocking rule
-  per needed resource), so infeasible workers cost a comparison or two
-  instead of a full ``F(t, w)`` evaluation.
+* **Repeat-profile rule.**  ``F(t, w)`` depends on the task only through
+  its ``(usage, est_mem)`` profile.  A task whose profile differs from the
+  previous task's scans the candidates directly, pruning with the cheapest
+  checks first (liveness, memory fit, then the zero-headroom blocking rule
+  per needed resource).  When the same profile repeats — equal-size
+  partitions of one stage — :class:`_Scorer` builds one F row for it and,
+  since a commit only shrinks the committed worker's headroom, refreshes
+  just that worker's entry before the row is read again.  The row's
+  first-occurrence maximum is the direct scan's first strict maximum, so
+  decisions and floats are unchanged.
 
-All of this is float-for-float identical to the straightforward
-implementation kept in :mod:`repro.scheduler.reference` — the
-``tests/perf`` determinism suite pins that equivalence end-to-end.
+Everything here is float-for-float identical to the straightforward
+implementation kept as the test oracle (``tests/scheduler/oracle.py``),
+which the ``tests/perf`` determinism suite pins end-to-end.
 """
 
 from __future__ import annotations
@@ -64,10 +69,9 @@ from .worker import Worker
 if TYPE_CHECKING:  # pragma: no cover
     from ..execution.jobmanager import JobManager
 
-__all__ = ["Assignment", "PlacementPolicy", "ReadyStage", "UrsaPlacement"]
+__all__ = ["Assignment", "PlacementPolicy", "ReadyStage", "UrsaPlacement", "score_one"]
 
 _FLUID = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
-_CPU, _NET, _DISK = 0, 1, 2
 _NEG_INF = float("-inf")
 
 
@@ -142,19 +146,238 @@ class _WorkerView:
         """D_mem(w): the free-memory fraction (§4.2.2)."""
         return self.mem_available / self.mem_capacity
 
-    def snapshot(self) -> tuple:
-        return (self.d[0], self.d[1], self.d[2], self.mem_available)
 
-    def restore(self, snap: tuple) -> None:
-        self.d[0], self.d[1], self.d[2], self.mem_available = snap
+def score_one(view: _WorkerView, usage, mem: float) -> float:
+    """``F(t, w) = Σ_r D_r(w) · Inc_r(t, w)`` for one (profile, worker)
+    pair; ``-inf`` means infeasible: the worker is dead, the task's memory
+    does not fit, or some needed resource has zero headroom (the blocking
+    rule).  Term order (cpu, net, disk, mem) matches :meth:`_Scorer.search`'s
+    direct scan, so both produce the same float."""
+    if not view.alive:
+        return _NEG_INF  # fault layer: dead workers take no placements
+    avail = view.mem_available
+    if mem > avail + 1e-9:
+        return _NEG_INF
+    d = view.d
+    inv = view.inv_rate_ept
+    u_cpu, u_net, u_disk = usage
+    f = 0.0
+    if u_cpu > 0.0:
+        dr = d[0]  # D_cpu(w)
+        if dr <= 0.0:
+            return _NEG_INF  # blocking rule: needed resource, zero headroom
+        inc = u_cpu * inv[0]  # Inc_cpu(t, w) = usage / (rate(w) · EPT)
+        if inc > dr:
+            inc = dr  # availability caps the contribution
+        f += dr * inc
+    if u_net > 0.0:
+        dr = d[1]
+        if dr <= 0.0:
+            return _NEG_INF
+        inc = u_net * inv[1]
+        if inc > dr:
+            inc = dr
+        f += dr * inc
+    if u_disk > 0.0:
+        dr = d[2]
+        if dr <= 0.0:
+            return _NEG_INF
+        inc = u_disk * inv[2]
+        if inc > dr:
+            inc = dr
+        f += dr * inc
+    if mem > 0.0:
+        cap = view.mem_capacity
+        d_mem = avail / cap
+        if d_mem <= 0.0:
+            return _NEG_INF
+        inc_mem = mem / cap  # Inc_mem(t, w)
+        f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
+    return f
 
 
-def _task_usage(task: Task, ignore_network: bool) -> tuple[float, float, float]:
-    return (
-        task.est_cpu_mb,
-        0.0 if ignore_network else task.est_net_mb,
-        task.est_disk_mb,
+def _commit(view: _WorkerView, usage, mem: float) -> None:
+    """Shrink ``view``'s headroom by one placed task's increments."""
+    d = view.d
+    inv = view.inv_rate_ept
+    u_cpu, u_net, u_disk = usage
+    if u_cpu > 0.0:
+        nd = d[0] - u_cpu * inv[0]
+        d[0] = nd if nd > 0.0 else 0.0
+    if u_net > 0.0:
+        nd = d[1] - u_net * inv[1]
+        d[1] = nd if nd > 0.0 else 0.0
+    if u_disk > 0.0:
+        nd = d[2] - u_disk * inv[2]
+        d[2] = nd if nd > 0.0 else 0.0
+    view.mem_available -= mem
+
+
+class _Scorer:
+    """Best-worker search over one view state, with the repeat-profile rule.
+
+    ``row`` holds F for the previous unpinned task's profile once that
+    profile repeats (empty once no worker fits it); ``dirty`` lists the
+    workers committed since the row was last read, whose entries are
+    refreshed before the next read.  A stage score uses a fresh scorer;
+    task mode keeps one for the whole round and reports each permanent
+    commit through :meth:`committed`.
+    """
+
+    __slots__ = (
+        "views", "usage", "mem", "row", "dirty",
+        "searches", "row_reads", "rows", "refreshed", "pinned",
     )
+
+    def __init__(self, views: list[_WorkerView]):
+        self.views = views
+        self.usage = None
+        self.mem = None
+        self.row: Optional[list] = None
+        self.dirty: list[int] = []
+        # profiler tallies; workers_scanned is derived from them in scanned
+        self.searches = 0
+        self.row_reads = 0
+        self.rows = 0
+        self.refreshed = 0
+        self.pinned = 0
+
+    @property
+    def scanned(self) -> int:
+        """Candidate workers scored: a direct scan costs every worker (one
+        if pinned), a row build every worker, a refresh one."""
+        n = len(self.views)
+        direct = self.searches - self.row_reads - self.pinned
+        return n * (direct + self.rows) + self.pinned + self.refreshed
+
+    def committed(self, view: _WorkerView) -> None:
+        if self.row is not None:
+            self.dirty.append(view.index)
+
+    def search(self, scored, touched: Optional[dict]) -> tuple[float, list]:
+        """Find each task's best worker — the first with the strictly
+        highest ``F(t, w)`` — in turn; returns (sum of F, plan of (task,
+        usage, mem, widx, f)).  With ``touched``, every placed task is
+        tentatively committed before the next is scored, and each view is
+        snapshotted into ``touched`` on its first commit."""
+        views = self.views
+        row = self.row
+        dirty = self.dirty
+        prev_usage = self.usage
+        prev_mem = self.mem
+        row_reads = 0
+        refreshed = 0
+        pinned = 0
+        plan: list = []
+        total = 0.0
+        for task, usage, mem in scored:
+            loc = task.locality
+            if loc is None and mem == prev_mem and usage == prev_usage:
+                # repeated profile: read (building or refreshing) the row
+                row_reads += 1
+                if row is None:
+                    row = [score_one(v, usage, mem) for v in views]
+                    dirty = []
+                    self.rows += 1
+                elif not row:
+                    continue  # the profile fits nowhere (see below)
+                elif dirty:
+                    # headroom only shrinks: an infeasible entry stays so
+                    for i in dirty:
+                        if row[i] != _NEG_INF:
+                            row[i] = score_one(views[i], usage, mem)
+                    refreshed += len(dirty)
+                    dirty = []
+                best_f = max(row)
+                if best_f == _NEG_INF:
+                    # no worker fits this profile, and none can before the
+                    # state is rebuilt: an empty row marks it dead
+                    row = []
+                    continue
+                best_view = views[row.index(best_f)]
+            else:
+                if loc is None:
+                    prev_usage = usage
+                    prev_mem = mem
+                    row = None
+                    candidates = views
+                else:
+                    candidates = (views[loc],)
+                    pinned += 1
+                u_cpu, u_net, u_disk = usage
+                best_view = None
+                best_f = _NEG_INF
+                # direct scan of F(t, w) = Σ_r D_r(w) · Inc_r(t, w): the
+                # cheap feasibility checks prune a worker before any
+                # scoring arithmetic
+                for view in candidates:
+                    if not view.alive:
+                        continue  # fault layer: dead workers take no placements
+                    if mem > view.mem_available + 1e-9:
+                        continue
+                    d = view.d
+                    inv = view.inv_rate_ept
+                    f = 0.0
+                    if u_cpu > 0.0:
+                        dr = d[0]
+                        if dr <= 0.0:
+                            continue  # blocking rule: zero headroom, work needed
+                        inc = u_cpu * inv[0]
+                        if inc > dr:
+                            inc = dr  # availability caps the contribution
+                        f += dr * inc
+                    if u_net > 0.0:
+                        dr = d[1]
+                        if dr <= 0.0:
+                            continue
+                        inc = u_net * inv[1]
+                        if inc > dr:
+                            inc = dr
+                        f += dr * inc
+                    if u_disk > 0.0:
+                        dr = d[2]
+                        if dr <= 0.0:
+                            continue
+                        inc = u_disk * inv[2]
+                        if inc > dr:
+                            inc = dr
+                        f += dr * inc
+                    if mem > 0.0:
+                        d_mem = view.mem_available / view.mem_capacity
+                        if d_mem <= 0.0:
+                            continue
+                        inc_mem = mem / view.mem_capacity
+                        f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
+                    if f > best_f:
+                        best_f, best_view = f, view
+                if best_view is None:
+                    continue
+            plan.append((task, usage, mem, best_view.index, best_f))
+            total += best_f
+            if touched is not None:
+                if best_view not in touched:
+                    bd = best_view.d
+                    touched[best_view] = (bd[0], bd[1], bd[2], best_view.mem_available)
+                _commit(best_view, usage, mem)
+                if row is not None:
+                    dirty.append(best_view.index)
+        self.row = row
+        self.dirty = dirty
+        self.usage = prev_usage
+        self.mem = prev_mem
+        self.searches += len(scored)
+        self.row_reads += row_reads
+        self.refreshed += refreshed
+        self.pinned += pinned
+        return total, plan
+
+
+def _count(prof, scorer: _Scorer) -> None:
+    """Fold one scorer's tallies into the tick profiler."""
+    prof.tasks_scored += scorer.searches
+    prof.workers_scanned += scorer.scanned
+    prof.profile_rows += scorer.rows
+    prof.pinned_tasks += scorer.pinned
 
 
 class UrsaPlacement(PlacementPolicy):
@@ -180,24 +403,13 @@ class UrsaPlacement(PlacementPolicy):
     # ------------------------------------------------------------------
     def place(self, ready, workers, now, job_policy) -> list[Assignment]:
         self._prof = _profile.PROFILER
-        views = self._build_state(workers)
+        views = [_WorkerView(w, i, self.ept) for i, w in enumerate(workers)]
         try:
             if self.stage_aware:
                 return self._place_by_stage(ready, views, now, job_policy)
             return self._place_by_task(ready, views, now, job_policy)
         finally:
             self._prof = None
-
-    def _build_state(self, workers):
-        """Per-round worker headroom state.  The scalar engine uses a list of
-        :class:`_WorkerView`; :class:`~repro.scheduler.vector.\
-        VectorUrsaPlacement` overrides this with a struct-of-arrays state."""
-        return [_WorkerView(w, i, self.ept) for i, w in enumerate(workers)]
-
-    def _commit_assign(self, state, widx: int, usage, mem: float) -> None:
-        """Permanently commit one plan entry against the round state (the
-        engine-specific twin of :meth:`_commit`)."""
-        self._commit(state[widx], usage, mem)
 
     def _usage(self, task: Task) -> tuple[float, float, float]:
         # est_* are frozen when the task becomes ready (before it is ever
@@ -255,7 +467,7 @@ class UrsaPlacement(PlacementPolicy):
             # stale score (an upper bound on its fresh score) is <= ours
             placed_ids = set()
             for task, usage, mem, widx, f in plan:
-                self._commit_assign(views, widx, usage, mem)
+                _commit(views[widx], usage, mem)
                 assignments.append(Assignment(rs.jm, task, widx, f))
                 placed_ids.add(task.task_id)
             gen += 1
@@ -269,29 +481,35 @@ class UrsaPlacement(PlacementPolicy):
     def _place_by_task(self, ready, views, now, job_policy) -> list[Assignment]:
         """Fig-7 ablation: greedily place single highest-score tasks.
 
-        The reference loop re-scores the whole pool for every placement
+        The oracle loop re-scores the whole pool for every placement
         (O(P²·W)); scores only shrink as headroom is committed, so the same
         lazy max-heap trick applies.  Ties are resolved exactly as the
-        reference's first-strict-maximum scan does — by original pool
+        oracle's first-strict-maximum scan does — by original pool
         position — so entries keep their enumeration index on re-push and
-        the acceptance test compares full (score, seq) keys.
+        the acceptance test compares full (score, seq) keys.  One
+        :class:`_Scorer` serves the whole round: permanent commits are the
+        only state changes, and each is reported to it.
         """
         assignments: list[Assignment] = []
         prof = self._prof
+        scorer = _Scorer(views)
+        search = scorer.search
+        usage_of = self._usage
         heap: list = []
         pool = [(rs.jm, t) for rs in ready for t in rs.tasks]
         for seq, (jm, task) in enumerate(pool):
-            widx, f = self._best_worker(task, views)
-            if widx is None:
+            _, plan = search(((task, usage_of(task), task.est_mem_mb),), None)
+            if not plan:
                 continue
-            score = f + job_policy.placement_bonus(jm.job, now)
+            score = plan[0][4] + job_policy.placement_bonus(jm.job, now)
             heap.append((-score, seq, jm, task))
         heapq.heapify(heap)
         while heap:
             neg_stale, seq, jm, task = heapq.heappop(heap)
-            widx, f = self._best_worker(task, views)
-            if widx is None:
+            _, plan = search(((task, usage_of(task), task.est_mem_mb),), None)
+            if not plan:
                 continue  # headroom only shrinks: never feasible again
+            _, usage, mem, widx, f = plan[0]
             score = f + job_policy.placement_bonus(jm.job, now)
             if heap and (heap[0][0], heap[0][1]) < (-score, seq):
                 # a stale competitor might still beat us (or win the
@@ -300,8 +518,12 @@ class UrsaPlacement(PlacementPolicy):
                 if prof is not None:
                     prof.heap_repushes += 1
                 continue
-            self._commit_assign(views, widx, self._usage(task), task.est_mem_mb)
+            view = views[widx]
+            _commit(view, usage, mem)
+            scorer.committed(view)
             assignments.append(Assignment(jm, task, widx, f))
+        if prof is not None:
+            _count(prof, scorer)
         return assignments
 
     # ------------------------------------------------------------------
@@ -315,201 +537,19 @@ class UrsaPlacement(PlacementPolicy):
         touched.clear()
         return result
 
-    def _stage_score(self, scored, views, touched=None) -> tuple[float, list]:
+    def _stage_score(self, scored, views, touched) -> tuple[float, list]:
         """Score one stage; returns (score, plan of (task, usage, mem, widx, f)).
 
-        The best-worker search is inlined (this plus _best_worker is the
-        innermost scheduler loop); term order matches the reference
-        implementation exactly, so all floats are bit-identical.
-        """
+        Each task goes to its best worker under the tentative commits of the
+        tasks before it; a stage whose every task found a worker earns
+        ``stage_bonus``."""
+        scorer = _Scorer(views)
+        total, plan = scorer.search(scored, touched)
         prof = self._prof
-        scanned = 0
-        plan: list = []
-        score = 0.0
-        stage_bonus = self.stage_bonus
-        for task, usage, mem in scored:
-            u_cpu, u_net, u_disk = usage
-            if task.locality is None:
-                candidates = views
-            else:
-                candidates = (views[task.locality],)
-            scanned += len(candidates)
-            best_view: Optional[_WorkerView] = None
-            best_f = _NEG_INF
-            # inlined F(t, w) = Σ_r D_r(w) · Inc_r(t, w) over the candidates
-            for view in candidates:
-                if not view.alive:
-                    continue  # fault layer: dead workers take no placements
-                if mem > view.mem_available + 1e-9:
-                    continue
-                d = view.d
-                inv = view.inv_rate_ept
-                f = 0.0
-                if u_cpu > 0.0:
-                    dr = d[0]
-                    if dr <= 0.0:
-                        continue  # blocking rule: zero headroom, work needed
-                    inc = u_cpu * inv[0]
-                    if inc > dr:
-                        inc = dr  # availability caps the contribution
-                    f += dr * inc
-                if u_net > 0.0:
-                    dr = d[1]
-                    if dr <= 0.0:
-                        continue
-                    inc = u_net * inv[1]
-                    if inc > dr:
-                        inc = dr
-                    f += dr * inc
-                if u_disk > 0.0:
-                    dr = d[2]
-                    if dr <= 0.0:
-                        continue
-                    inc = u_disk * inv[2]
-                    if inc > dr:
-                        inc = dr
-                    f += dr * inc
-                if mem > 0.0:
-                    d_mem = view.mem_available / view.mem_capacity
-                    if d_mem <= 0.0:
-                        continue
-                    inc_mem = mem / view.mem_capacity
-                    f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
-                if f > best_f:
-                    best_f, best_view = f, view
-            if best_view is None:
-                stage_bonus = 0.0
-            else:
-                plan.append((task, usage, mem, best_view.index, best_f))
-                # inlined _commit (same ops in the same order)
-                bd = best_view.d
-                if touched is not None and best_view not in touched:
-                    touched[best_view] = (bd[0], bd[1], bd[2], best_view.mem_available)
-                binv = best_view.inv_rate_ept
-                if u_cpu > 0.0:
-                    nd = bd[0] - u_cpu * binv[0]
-                    bd[0] = nd if nd > 0.0 else 0.0
-                if u_net > 0.0:
-                    nd = bd[1] - u_net * binv[1]
-                    bd[1] = nd if nd > 0.0 else 0.0
-                if u_disk > 0.0:
-                    nd = bd[2] - u_disk * binv[2]
-                    bd[2] = nd if nd > 0.0 else 0.0
-                best_view.mem_available -= mem
-                score += best_f
         if prof is not None:
             prof.stages_scored += 1
-            prof.tasks_scored += len(scored)
-            prof.workers_scanned += scanned
+            _count(prof, scorer)
         if not plan:
             return (0.0, [])
-        return (score / len(plan) + stage_bonus, plan)
-
-    def _best_worker(self, task: Task, views) -> tuple[Optional[int], float]:
-        if task.locality is not None:
-            candidates = (views[task.locality],)
-        else:
-            candidates = views
-        u_cpu, u_net, u_disk = self._usage(task)
-        mem = task.est_mem_mb
-        prof = self._prof
-        if prof is not None:
-            prof.tasks_scored += 1
-            prof.workers_scanned += len(candidates)
-        best_view: Optional[_WorkerView] = None
-        best_f = _NEG_INF
-        # Inlined F(t, w) = Σ_r D_r(w) · Inc_r(t, w) over all candidates: the
-        # cheap feasibility checks (liveness, memory fit, zero-headroom
-        # blocking rule) prune a worker before any scoring arithmetic runs.
-        # Term order matches _score exactly so the computed floats are
-        # bit-identical to the reference path.
-        for view in candidates:
-            if not view.alive:
-                continue  # fault layer: dead workers take no placements
-            if mem > view.mem_available + 1e-9:
-                continue
-            d = view.d
-            inv = view.inv_rate_ept
-            f = 0.0
-            if u_cpu > 0.0:
-                dr = d[0]
-                if dr <= 0.0:
-                    continue  # blocking rule: needed resource, zero headroom
-                inc = u_cpu * inv[0]
-                if inc > dr:
-                    inc = dr  # availability caps the contribution
-                f += dr * inc
-            if u_net > 0.0:
-                dr = d[1]
-                if dr <= 0.0:
-                    continue
-                inc = u_net * inv[1]
-                if inc > dr:
-                    inc = dr
-                f += dr * inc
-            if u_disk > 0.0:
-                dr = d[2]
-                if dr <= 0.0:
-                    continue
-                inc = u_disk * inv[2]
-                if inc > dr:
-                    inc = dr
-                f += dr * inc
-            if mem > 0.0:
-                d_mem = view.mem_available / view.mem_capacity
-                if d_mem <= 0.0:
-                    continue
-                inc_mem = mem / view.mem_capacity
-                f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
-            if f > best_f:
-                best_f, best_view = f, view
-        if best_view is None:
-            return None, 0.0
-        return best_view.index, best_f
-
-    def _score(self, task: Task, usage, view: _WorkerView) -> Optional[float]:
-        """Reference scoring of one (task, worker) pair — the textbook
-        ``F(t, w) = Σ_r D_r(w) · Inc_r(t, w)`` of Algorithm 1, kept for
-        tests and the brute-force reference; the hot path inlines this into
-        :meth:`_best_worker`.  ``None`` means infeasible: the worker is dead,
-        the task's memory does not fit, or some needed resource has zero
-        headroom (the blocking rule)."""
-        if not view.alive:
-            return None  # fault layer: dead workers take no placements
-        mem = task.est_mem_mb
-        if mem > view.mem_available + 1e-9:
-            return None
-        d = view.d
-        inv = view.inv_rate_ept
-        f = 0.0
-        for r in (_CPU, _NET, _DISK):
-            u = usage[r]
-            if u <= 0.0:
-                continue
-            dr = d[r]  # D_r(w)
-            if dr <= 0.0:
-                # blocking rule: needed resource with zero headroom
-                return None
-            inc = u * inv[r]  # Inc_r(t, w) = usage_r / (rate_r(w) · EPT)
-            if inc > dr:
-                inc = dr  # availability caps the contribution
-            f += dr * inc
-        d_mem = view.mem_available / view.mem_capacity
-        if mem > 0.0:
-            if d_mem <= 0.0:
-                return None
-            inc_mem = mem / view.mem_capacity  # Inc_mem(t, w)
-            f += d_mem * min(inc_mem, d_mem)
-        return f
-
-    def _commit(self, view: _WorkerView, usage, mem: float, touched=None) -> None:
-        if touched is not None and view not in touched:
-            # dirty-set undo: snapshot a view once, on first tentative touch
-            touched[view] = (view.d[0], view.d[1], view.d[2], view.mem_available)
-        d = view.d
-        inv = view.inv_rate_ept
-        for r in (_CPU, _NET, _DISK):
-            if usage[r] > 0.0:
-                nd = d[r] - usage[r] * inv[r]
-                d[r] = nd if nd > 0.0 else 0.0
-        view.mem_available -= mem
+        bonus = self.stage_bonus if len(plan) == len(scored) else 0.0
+        return (total / len(plan) + bonus, plan)

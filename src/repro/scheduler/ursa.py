@@ -36,7 +36,6 @@ from ..obs import telemetry as _tel
 from ..perf import profile as _profile
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
-from . import vector as _vector
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
 from .worker import Worker, WorkerConfig
 
@@ -62,15 +61,6 @@ class UrsaConfig:
     starvation_timeout: float = 120.0
     worker: WorkerConfig = field(default_factory=WorkerConfig)
     placement: Optional[PlacementPolicy] = None  # default: Algorithm 1
-    # Algorithm-1 engine selection: "scalar" (the inlined python loops) or
-    # "vector" (repro.scheduler.vector's profile-dedup / numpy-broadcast
-    # engine — bit-identical scores, measured faster).  None defers to the
-    # process-wide default set by the --placement CLI flag.
-    placement_mode: Optional[str] = None
-    # Pre-PR3 reference tick: snapshot-all placement, resort every round,
-    # no SRJF memoization.  Used by the determinism suite and bench_sim as
-    # the bit-identical (but slower) baseline.
-    legacy_tick: bool = False
     # Fault injection (repro.faults).  None or an empty plan schedules
     # nothing and leaves every code path — floats, event counts, trace
     # bytes — identical to a failure-free build (pinned by tests/faults).
@@ -82,9 +72,7 @@ class UrsaConfig:
         if self.policy == "ejf":
             return EarliestJobFirst(self.policy_weight)
         if self.policy == "srjf":
-            return SmallestRemainingJobFirst(
-                self.policy_weight, memoize=not self.legacy_tick
-            )
+            return SmallestRemainingJobFirst(self.policy_weight)
         raise ValueError(f"unknown policy {self.policy!r}")
 
 
@@ -115,14 +103,7 @@ class UrsaSystem:
         if self.config.placement is not None:
             self.placement = self.config.placement
         else:
-            placement_cls = UrsaPlacement
-            if self.config.legacy_tick:
-                from .reference import ReferenceUrsaPlacement
-
-                placement_cls = ReferenceUrsaPlacement
-            elif _vector.resolve_mode(self.config.placement_mode) == "vector":
-                placement_cls = _vector.VectorUrsaPlacement
-            self.placement = placement_cls(
+            self.placement = UrsaPlacement(
                 ept=self.config.scheduling_interval * self.config.ept_factor,
                 stage_aware=self.config.stage_aware,
                 ignore_network=self.config.ignore_network,
@@ -130,10 +111,8 @@ class UrsaSystem:
         # Worker queues only need a per-tick resort when ranks can drift
         # between refreshes (SRJF); EJF/FIFO keys are static per job, so a
         # resort would recompute identical keys and heapify an already-valid
-        # heap — a guaranteed no-op we elide (legacy mode keeps it).
-        self._resort_each_tick = (
-            self._queue_policy.dynamic_rank or self.config.legacy_tick
-        )
+        # heap — a guaranteed no-op we elide.
+        self._resort_each_tick = self._queue_policy.dynamic_rank
         self.workers = [
             Worker(cluster, i, self._queue_policy, self.config.worker)
             for i in range(cluster.num_machines)
@@ -148,7 +127,6 @@ class UrsaSystem:
         self.completed_jobs: list[Job] = []
         self.failed_jobs: list[Job] = []
         self._next_job_id = 0
-        self._rr_jm = 0
         self._tick_scheduled = False
 
         # Fault layer: only wired when a non-empty plan is configured, so
@@ -197,10 +175,8 @@ class UrsaSystem:
 
     def _try_admit(self) -> None:
         for job in self.admission.admit_ready(self.sim.now):
-            # JM launched on a round-robin worker (§4.1.3); model its startup
-            worker = self._rr_jm % self.cluster.num_machines
-            self._rr_jm += 1
-            del worker  # placement of the JM process itself is not simulated
+            # model the JM's startup (§4.1.3); where the JM process itself
+            # runs is not simulated
             self.sim.schedule(self.config.jm_creation_delay, self._start_jm, job)
 
     def _start_jm(self, job: Job) -> None:

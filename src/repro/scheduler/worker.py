@@ -266,8 +266,7 @@ class Worker:
     def _grant(self, jm: "JobManager", mt: Monotask, on_done, *, bypass: bool) -> None:
         """The single seam through which every monotask start flows — queue
         pops and the small-network bypass lane alike — so resource-grant
-        instrumentation lives in exactly one place for both the optimized
-        and ``legacy_tick`` reference schedulers."""
+        instrumentation lives in exactly one place."""
         rec = _obs.RECORDER
         if rec is not None:
             rec.mt_start(

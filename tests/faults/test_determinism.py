@@ -1,7 +1,8 @@
 """ISSUE 5 acceptance: faults are deterministic and zero-cost when absent.
 
-* With a fixed seeded plan, the optimized scheduler and ``legacy_tick``
-  produce byte-identical event streams and metrics, for both policies.
+* With a fixed seeded plan, the scheduler and the oracle tick
+  (``tests/scheduler/oracle.py``) produce byte-identical event streams and
+  metrics, for both policies.
 * ``fig_faults`` is bit-identical serial vs parallel.
 * An empty :class:`FaultPlan` is runtime-equivalent to ``faults=None``:
   no controller is built and the event stream does not change.
@@ -26,6 +27,8 @@ from repro.perf import ParallelRunner
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
+from ..scheduler.oracle import OracleConfig
+
 NUM_MACHINES = 4
 PLAN = FaultPlan.seeded(
     seed=3, num_workers=NUM_MACHINES, window=(1.0, 6.0),
@@ -40,16 +43,15 @@ def _stream_digest(events):
     return h.hexdigest()
 
 
-def _run(plan, policy="ejf", legacy=False):
+def _run(plan, policy="ejf", oracle=False):
     rec = recorder.enable()
     try:
         cluster = Cluster(
             ClusterSpec(num_machines=NUM_MACHINES,
                         machine=ClusterSpec.paper_cluster().machine)
         )
-        system = UrsaSystem(
-            cluster, UrsaConfig(policy=policy, legacy_tick=legacy, faults=plan)
-        )
+        config_cls = OracleConfig if oracle else UrsaConfig
+        system = UrsaSystem(cluster, config_cls(policy=policy, faults=plan))
         wl = tpch_workload(n_jobs=6, scale=0.02, arrival_interval=0.6,
                            max_parallelism=128, partition_mb=12.0)
         submit_workload(system, wl, seed=0)
@@ -63,8 +65,8 @@ def _run(plan, policy="ejf", legacy=False):
 
 @pytest.mark.parametrize("policy", ["ejf", "srjf"])
 def test_faulted_fast_path_bit_identical_to_legacy(policy):
-    opt = _run(PLAN, policy=policy, legacy=False)
-    leg = _run(PLAN, policy=policy, legacy=True)
+    opt = _run(PLAN, policy=policy)
+    leg = _run(PLAN, policy=policy, oracle=True)
     assert opt[:3] == leg[:3]
 
 

@@ -13,8 +13,9 @@ from repro.obs import attribution as attr_mod
 from repro.obs import recorder
 from repro.obs.critpath import critical_path, parse_events
 from repro.scheduler import UrsaConfig, UrsaSystem
-from repro.scheduler import vector as vector_mod
 from repro.workloads import submit_workload, tpch_workload
+
+from ..scheduler.oracle import OracleConfig
 
 
 def _small_workload():
@@ -24,11 +25,12 @@ def _small_workload():
     )
 
 
-def _run(policy="srjf", legacy=False):
+def _run(policy="srjf", oracle=False, **flags):
     cluster = Cluster(
         ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
     )
-    system = UrsaSystem(cluster, UrsaConfig(policy=policy, legacy_tick=legacy))
+    config_cls = OracleConfig if oracle else UrsaConfig
+    system = UrsaSystem(cluster, config_cls(policy=policy, **flags))
     submit_workload(system, _small_workload())
     system.run(max_events=50_000_000)
     assert system.all_done
@@ -99,25 +101,22 @@ def test_validate_flags_broken_ledger():
 # cross-engine digest pins
 # ----------------------------------------------------------------------
 def test_attribution_identical_optimized_vs_legacy_tick():
-    rec_opt, _ = _traced_run(legacy=False)
-    rec_leg, _ = _traced_run(legacy=True)
+    """Engine ≡ oracle tick (tests/scheduler/oracle.py), stage mode."""
+    rec_opt, _ = _traced_run()
+    rec_ora, _ = _traced_run(oracle=True)
     d_opt = attr_mod.attribution_digest(attr_mod.attribute(rec_opt.events))
-    d_leg = attr_mod.attribution_digest(attr_mod.attribute(rec_leg.events))
-    assert d_opt == d_leg
+    d_ora = attr_mod.attribution_digest(attr_mod.attribute(rec_ora.events))
+    assert d_opt == d_ora
 
 
 def test_attribution_identical_scalar_vs_vector_placement():
-    prev = vector_mod.get_default_mode()
-    try:
-        vector_mod.set_default_mode("scalar")
-        rec_s, _ = _traced_run()
-        vector_mod.set_default_mode("vector")
-        rec_v, _ = _traced_run()
-    finally:
-        vector_mod.set_default_mode(prev)
-    d_s = attr_mod.attribution_digest(attr_mod.attribute(rec_s.events))
-    d_v = attr_mod.attribution_digest(attr_mod.attribute(rec_v.events))
-    assert d_s == d_v
+    """Engine ≡ oracle tick in task mode, where one F row serves the
+    whole placement round."""
+    rec_opt, _ = _traced_run(stage_aware=False)
+    rec_ora, _ = _traced_run(oracle=True, stage_aware=False)
+    d_opt = attr_mod.attribution_digest(attr_mod.attribute(rec_opt.events))
+    d_ora = attr_mod.attribution_digest(attr_mod.attribute(rec_ora.events))
+    assert d_opt == d_ora
 
 
 def test_render_json_round_trips_and_digest_is_stable():

@@ -12,6 +12,8 @@ from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.simcore import Simulation
 from repro.workloads import submit_workload, tpch_workload
 
+from ..scheduler.oracle import OracleConfig
+
 
 def _small_workload():
     return tpch_workload(
@@ -20,11 +22,12 @@ def _small_workload():
     )
 
 
-def _run(policy="srjf", legacy=False):
+def _run(policy="srjf", oracle=False):
     cluster = Cluster(
         ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
     )
-    system = UrsaSystem(cluster, UrsaConfig(policy=policy, legacy_tick=legacy))
+    config_cls = OracleConfig if oracle else UrsaConfig
+    system = UrsaSystem(cluster, config_cls(policy=policy))
     submit_workload(system, _small_workload())
     system.run(max_events=50_000_000)
     assert system.all_done
@@ -65,12 +68,13 @@ def test_traced_metrics_bit_identical_to_untraced():
 
 def test_optimized_and_legacy_emit_identical_event_streams():
     """The satellite-2 seam: worker grants/releases flow through one hook,
-    so the reference scheduler traces identically to the fast path."""
+    so the oracle tick (tests/scheduler/oracle.py) traces identically to
+    the engine."""
     rec_opt = recorder.enable()
-    metrics_opt = _run(legacy=False)
+    metrics_opt = _run()
     recorder.disable()
     rec_leg = recorder.enable()
-    metrics_leg = _run(legacy=True)
+    metrics_leg = _run(oracle=True)
     recorder.disable()
     assert metrics_opt == metrics_leg
     assert rec_opt.events == rec_leg.events

@@ -12,6 +12,8 @@ from repro.obs import telemetry
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
+from ..scheduler.oracle import OracleConfig
+
 
 def _small_workload():
     return tpch_workload(
@@ -27,13 +29,13 @@ FAULT_PLAN = FaultPlan((
 ))
 
 
-def _run(policy="srjf", legacy=False, faults=None, retry=None):
+def _run(policy="srjf", oracle=False, faults=None, retry=None):
     cluster = Cluster(
         ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
     )
+    config_cls = OracleConfig if oracle else UrsaConfig
     system = UrsaSystem(
-        cluster, UrsaConfig(policy=policy, legacy_tick=legacy,
-                            faults=faults, retry=retry)
+        cluster, config_cls(policy=policy, faults=faults, retry=retry)
     )
     submit_workload(system, _small_workload())
     system.run(max_events=50_000_000)
@@ -80,13 +82,14 @@ def test_telemetry_on_metrics_bit_identical_to_off():
 
 
 def test_optimized_and_legacy_emit_identical_telemetry():
-    """The reference scheduler flows through the same hooks as the fast
-    path, so the whole summary — series included — matches bit-for-bit."""
+    """The oracle tick (tests/scheduler/oracle.py) flows through the same
+    hooks as the engine, so the whole summary — series included — matches
+    bit-for-bit."""
     tel_opt = telemetry.enable()
-    metrics_opt = _run(legacy=False)
+    metrics_opt = _run()
     telemetry.disable()
     tel_leg = telemetry.enable()
-    metrics_leg = _run(legacy=True)
+    metrics_leg = _run(oracle=True)
     telemetry.disable()
     assert metrics_opt == metrics_leg
     assert json.dumps(tel_opt.summary(), sort_keys=True) == json.dumps(

@@ -1,13 +1,14 @@
-"""PR-3 acceptance: the scheduling-tick fast path changes *nothing* but time.
+"""The scheduling-tick fast path changes *nothing* but time.
 
-``UrsaConfig(legacy_tick=True)`` runs the frozen pre-change scheduler (the
-brute-force placement in :mod:`repro.scheduler.reference`, a forced queue
+:class:`~tests.scheduler.oracle.OracleConfig` runs the frozen oracle tick
+(the brute-force placement in ``tests/scheduler/oracle.py``, a forced queue
 resort every tick, and unmemoized SRJF ranks).  Every optimization in the
-fast path — lazy-heap stage selection with generation reuse, dirty-set
-undo, cached usage tuples, resort elision, SRJF memoization — must leave
-the simulation metrics pickle-byte-identical to that reference, for both
-job-ordering policies.  Profiling must be a pure observer: enabling it
-cannot perturb results either.
+engine — lazy-heap stage selection with generation reuse, dirty-set undo,
+cached usage tuples, the repeat-profile F row, resort elision, SRJF
+memoization — must leave the simulation metrics pickle-byte-identical to
+that oracle, for both job-ordering policies and in stage and task mode.
+Profiling must be a pure observer: enabling it cannot perturb results
+either.
 """
 
 import pickle
@@ -18,6 +19,8 @@ from repro.experiments.common import SCALES, run_one_system
 from repro.perf import profile as tick_profile
 from repro.scheduler import UrsaConfig
 from repro.workloads import tpch2_workload
+
+from ..scheduler.oracle import OracleConfig, ReferenceUrsaPlacement
 
 _cache: dict = {}
 
@@ -32,11 +35,24 @@ def _workload(sc):
     )
 
 
-def _metrics(policy: str, legacy: bool = False, cached: bool = True, **flags) -> bytes:
-    key = (policy, legacy, tuple(sorted(flags.items())))
+def _metrics(policy: str, oracle: str = "", cached: bool = True, **flags) -> bytes:
+    """Pickled metrics of one tiny TPC-H run.  ``oracle="tick"`` runs the
+    whole oracle tick; ``oracle="placement"`` swaps in only the oracle
+    placement, isolating the placement engine from the policy changes."""
+    key = (policy, oracle, tuple(sorted(flags.items())))
     if cached and key in _cache:
         return _cache[key]
-    cfg = UrsaConfig(policy=policy, legacy_tick=legacy, **flags)
+    if oracle == "tick":
+        cfg = OracleConfig(policy=policy, **flags)
+    elif oracle == "placement":
+        sc = UrsaConfig()
+        placement = ReferenceUrsaPlacement(
+            ept=sc.scheduling_interval * sc.ept_factor,
+            stage_aware=flags.get("stage_aware", True),
+        )
+        cfg = UrsaConfig(policy=policy, placement=placement, **flags)
+    else:
+        cfg = UrsaConfig(policy=policy, **flags)
     name = "ursa-ejf" if policy == "ejf" else "ursa-srjf"
     res = run_one_system(name, _workload, SCALES["tiny"], seed=0,
                          overrides={"ursa_config": cfg})
@@ -48,26 +64,34 @@ def _metrics(policy: str, legacy: bool = False, cached: bool = True, **flags) ->
 
 @pytest.mark.parametrize("policy", ["ejf", "srjf"])
 def test_fast_path_bit_identical_to_legacy(policy):
-    assert _metrics(policy) == _metrics(policy, legacy=True)
+    """Engine ≡ oracle tick (placement, resort-every-tick, unmemoized SRJF)."""
+    assert _metrics(policy) == _metrics(policy, oracle="tick")
 
 
 def test_fast_path_bit_identical_in_task_mode():
     """The fig-7 ablation path (non-stage-aware lazy task heap)."""
     assert _metrics("ejf", stage_aware=False) == _metrics(
-        "ejf", legacy=True, stage_aware=False
+        "ejf", oracle="tick", stage_aware=False
     )
 
 
 @pytest.mark.parametrize("policy", ["ejf", "srjf"])
 def test_vector_engine_bit_identical(policy):
-    """The vectorized F(t, w) engine reproduces the scalar metrics exactly
-    (which the tests above pin to the frozen legacy reference in turn)."""
-    assert _metrics(policy, placement_mode="vector") == _metrics(policy)
+    """The placement engine alone (its repeat-profile F rows included)
+    reproduces the oracle placement's metrics under the production
+    policies."""
+    assert _metrics(policy, oracle="placement") == _metrics(policy)
 
 
 def test_vector_engine_bit_identical_in_task_mode():
-    assert _metrics("ejf", stage_aware=False, placement_mode="vector") == _metrics(
+    assert _metrics("ejf", oracle="placement", stage_aware=False) == _metrics(
         "ejf", stage_aware=False
+    )
+
+
+def test_srjf_in_task_mode_bit_identical_to_oracle():
+    assert _metrics("srjf", stage_aware=False) == _metrics(
+        "srjf", oracle="tick", stage_aware=False
     )
 
 

@@ -6,7 +6,9 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import Job, JobManager
 from repro.scheduler import EarliestJobFirst, UrsaPlacement, Worker
-from repro.scheduler.placement import ReadyStage, _WorkerView
+from repro.scheduler.placement import ReadyStage, _WorkerView, score_one
+
+from .oracle import ReferenceUrsaPlacement, _task_usage
 
 
 class _NullBackend:
@@ -109,27 +111,22 @@ def test_no_feasible_worker_returns_empty(cluster, workers):
 
 def test_blocking_rule_zero_headroom(cluster, workers):
     """A worker with zero CPU headroom must not receive CPU-using tasks."""
-    from repro.scheduler.placement import _task_usage
-
     jm = build_jm(cluster, n_tasks=1, size=10.0)
-    placement = UrsaPlacement(ept=0.3)
     view = _WorkerView(workers[0], 0, ept=0.3)
     view.d[0] = 0.0  # CPU headroom
     task = next(iter(jm.ready_tasks))
     assert task.est_cpu_mb > 0
-    assert placement._score(task, _task_usage(task, False), view) is None
+    usage = _task_usage(task, False)
+    assert score_one(view, usage, task.est_mem_mb) == float("-inf")
 
 
 def test_inc_capped_by_headroom(cluster, workers):
     """Huge tasks cannot overflow the score beyond D_r^2 per resource."""
-    from repro.scheduler.placement import _task_usage
-
     jm = build_jm(cluster, n_tasks=1, size=1e6)
-    placement = UrsaPlacement(ept=0.3)
     view = _WorkerView(workers[0], 0, ept=0.3)
     task = next(iter(jm.ready_tasks))
-    f = placement._score(task, _task_usage(task, False), view)
-    assert f is not None
+    f = score_one(view, _task_usage(task, False), task.est_mem_mb)
+    assert f != float("-inf")
     assert f <= 4.0 + 1e-9  # at most sum of D_r * D_r <= 4
 
 
@@ -176,14 +173,13 @@ def test_non_stage_aware_places_tasks_individually(cluster, workers):
 
 
 def test_ignore_network_flag_zeroes_network_usage(cluster, workers):
-    from repro.scheduler.placement import _task_usage
-
     jm = build_jm(cluster, n_tasks=1)
     task = next(iter(jm.ready_tasks))
     task.est_net_mb = 50.0
-    usage = _task_usage(task, True)
-    assert usage[1] == 0.0
-    assert _task_usage(task, False)[1] == 50.0
+    assert UrsaPlacement(ignore_network=True)._usage(task)[1] == 0.0
+    task.sched_usage = None  # the engine caches the tuple per task
+    assert UrsaPlacement()._usage(task)[1] == 50.0
+    assert _task_usage(task, True)[1] == 0.0  # the oracle agrees
 
 
 def test_invalid_ept_rejected():
@@ -223,8 +219,6 @@ def _randomized_setup(seed, n_jobs=4, machines=4):
 @pytest.mark.parametrize("stage_aware", [True, False])
 @pytest.mark.parametrize("seed", range(8))
 def test_lazy_heap_matches_bruteforce_reference(seed, stage_aware):
-    from repro.scheduler import ReferenceUrsaPlacement
-
     def run(cls):
         # rebuild the full state from the seed so each implementation sees
         # an identical, unshared cluster/worker/ready-set snapshot

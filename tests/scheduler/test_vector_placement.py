@@ -1,34 +1,26 @@
-"""Property tests pinning the vector placement engine to the scalar one.
+"""Property tests pinning the engine's profile-row path to the oracle.
 
-The vector engine claims *bit*-identity, not approximate equality: every
-F(t, w) it produces — through the profile-row python loop, the numpy
-broadcast, and the single-pair ``score_one`` refresh — must equal the
-scalar engine's float exactly, across resource mixes, the D_r = 0
-blocking rule, Inc-capping, memory infeasibility, dead workers and
-locality pins.  These tests enumerate randomized states and compare
-engines decision-for-decision and float-for-float.
+The placement engine scores a repeated ``(usage, mem)`` profile through one
+F row (``score_one`` per worker, then single-entry refreshes) instead of
+the direct candidate scan.  It claims *bit*-identity with the frozen oracle
+in :mod:`tests.scheduler.oracle`, not approximate equality: every F(t, w)
+— direct scan, row entry and ``score_one`` refresh — must equal the
+oracle's float exactly, across resource mixes, the D_r = 0 blocking rule,
+Inc-capping, memory infeasibility, dead workers and locality pins.
 """
 
 import random
 
 import pytest
 
-from repro.scheduler import (
-    EarliestJobFirst,
-    ReferenceUrsaPlacement,
-    UrsaPlacement,
-    VectorUrsaPlacement,
-)
-from repro.scheduler.placement import _WorkerView, _task_usage
-from repro.scheduler.vector import (
-    PLACEMENT_MODES,
-    _VectorState,
-    get_default_mode,
-    resolve_mode,
-    set_default_mode,
-)
+from repro.scheduler import EarliestJobFirst, UrsaPlacement
+from repro.scheduler.placement import _Scorer, _WorkerView, score_one
 
+from .oracle import ReferenceUrsaPlacement, _task_usage
+from .oracle import _WorkerView as _OracleView
 from .test_placement import _randomized_setup, build_jm, ready_stages
+
+_NEG_INF = float("-inf")
 
 
 def _collect_profiles(stages):
@@ -37,24 +29,22 @@ def _collect_profiles(stages):
     seen = set()
     for stage in stages:
         for task in stage.tasks:
-            usage = _task_usage(task, False)
-            key = (usage, task.est_mem_mb)
+            key = (_task_usage(task, False), task.est_mem_mb)
             if key not in seen:
                 seen.add(key)
                 profiles.append(key)
     return profiles
 
 
-def _scalar_row(placement, views, stage, usage, mem):
-    """Brute-force reference row: the inlined scalar scorer per worker."""
-    task = stage.tasks[0]
+def _oracle_row(oracle, views, task, usage, mem):
+    """Brute-force row: the oracle's textbook scorer per worker."""
     task_mem = task.est_mem_mb
     try:
         task.est_mem_mb = mem
         out = []
         for view in views:
-            f = placement._score(task, usage, view)
-            out.append(float("-inf") if f is None else f)
+            f = oracle._score(task, usage, view)
+            out.append(_NEG_INF if f is None else f)
         return out
     finally:
         task.est_mem_mb = task_mem
@@ -62,56 +52,55 @@ def _scalar_row(placement, views, stage, usage, mem):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_score_row_matches_bruteforce_scalar_scorer(seed):
-    """Vector rows == per-worker scalar F(t, w), float-for-float, on
-    randomized worker states (mixed loads, blocking, mem pressure)."""
+    """Engine rows == per-worker oracle F(t, w), float-for-float, on
+    randomized worker states (mixed loads, blocking, mem pressure); the
+    direct scan and the row path pick the same first maximum."""
     workers, stages = _randomized_setup(seed, n_jobs=4, machines=6)
     rng = random.Random(seed)
     for w in rng.sample(workers, 2):
         w.alive = rng.random() < 0.5  # dead workers must score -inf
-    placement = UrsaPlacement(ept=0.3)
+    oracle = ReferenceUrsaPlacement(ept=0.3)
+    oracle_views = [_OracleView(w, i, ept=0.3) for i, w in enumerate(workers)]
     views = [_WorkerView(w, i, ept=0.3) for i, w in enumerate(workers)]
-    state = _VectorState(workers, ept=0.3)
+    task = stages[0].tasks[0]
     for usage, mem in _collect_profiles(stages):
-        expected = _scalar_row(placement, views, stages[0], usage, mem)
-        got_python = state._row_python(usage, mem)
-        got_numpy = state._row_broadcast(usage, mem)
-        assert got_python == expected  # exact: same floats, same -inf slots
-        assert got_numpy == expected
-        for i in range(len(workers)):
-            assert state.score_one(i, usage, mem) == expected[i]
+        expected = _oracle_row(oracle, oracle_views, task, usage, mem)
+        assert [score_one(v, usage, mem) for v in views] == expected
+        best = max(expected)
+        want = [] if best == _NEG_INF else [
+            (task, usage, mem, expected.index(best), best)]
+        scorer = _Scorer(views)
+        one = ((task, usage, mem),)
+        assert scorer.search(one, None)[1] == want  # direct scan
+        assert scorer.search(one, None)[1] == want  # repeat: row path
+        assert scorer.rows == 1
 
 
 def test_score_row_covers_blocking_capping_and_memory():
     """Directed edge cases: a zero-headroom resource blocks, a huge task's
     Inc is capped at D_r, and memory infeasibility wins over everything."""
-    workers, stages = _randomized_setup(0, n_jobs=1, machines=4)
-    state = _VectorState(workers, ept=0.3)
+    workers, _ = _randomized_setup(0, n_jobs=1, machines=4)
+    views = [_WorkerView(w, i, ept=0.3) for i, w in enumerate(workers)]
     usage = (10.0, 0.0, 0.0)
 
-    state.d0[1] = 0.0  # blocking rule: needed resource with zero headroom
-    if state._cols is not None:
-        state._cols[1][1] = 0.0
-    row = state._row_python(usage, 0.0)
-    assert row[1] == float("-inf")
-    assert state._row_broadcast(usage, 0.0) == row
+    views[1].d[0] = 0.0  # blocking rule: needed resource with zero headroom
+    assert score_one(views[1], usage, 0.0) == _NEG_INF
 
     huge = (1e9, 1e9, 1e9)  # Inc-capping: F bounded by sum of D_r^2 (+ mem)
-    for i, f in enumerate(state._row_python(huge, 0.0)):
-        if f != float("-inf"):
-            cap = state.d0[i] ** 2 + state.d1[i] ** 2 + state.d2[i] ** 2
-            assert f <= cap + 1e-12
-    assert state._row_broadcast(huge, 0.0) == state._row_python(huge, 0.0)
+    for v in views:
+        f = score_one(v, huge, 0.0)
+        if f != _NEG_INF:
+            assert f <= sum(d * d for d in v.d) + 1e-12
 
-    too_big = max(state.mem_cap) * 2.0
-    assert all(f == float("-inf") for f in state._row_python(usage, too_big))
-    assert all(f == float("-inf") for f in state._row_broadcast(usage, too_big))
+    too_big = max(v.mem_capacity for v in views) * 2.0
+    assert all(score_one(v, usage, too_big) == _NEG_INF for v in views)
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("stage_aware", [True, False])
 def test_vector_engine_matches_scalar_and_reference(seed, stage_aware):
-    """Full placement rounds: scalar, vector (both dispatch paths) and the
-    frozen brute-force reference must agree on every (task, worker, score)."""
+    """Full placement rounds with locality pins: the engine and the frozen
+    oracle must agree on every (task, worker, score)."""
 
     def run(make):
         workers, stages = _randomized_setup(seed, n_jobs=4, machines=4)
@@ -123,91 +112,51 @@ def test_vector_engine_matches_scalar_and_reference(seed, stage_aware):
         out = make().place(stages, workers, 25.0, EarliestJobFirst(weight=0.1))
         return [(a.jm.job.job_id, a.task.task_id, a.worker, a.score) for a in out]
 
-    expected = run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware))
-    assert run(lambda: VectorUrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
-    assert run(  # broadcast_min_workers=2 forces the numpy path at W=4
-        lambda: VectorUrsaPlacement(
-            ept=0.3, stage_aware=stage_aware, broadcast_min_workers=2)
-    ) == expected
-    assert run(lambda: ReferenceUrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
-
-
-def test_commit_restore_roundtrip_patches_numpy_mirror():
-    workers, _ = _randomized_setup(3, n_jobs=1, machines=4)
-    state = _VectorState(workers, ept=0.3)
-    state._columns()  # materialize the numpy mirror so patches must hit it
-    before = (list(state.d0), list(state.d1), list(state.d2), list(state.mem_avail))
-    before_row = state._row_broadcast((3.0, 2.0, 1.0), 64.0)
-
-    touched = {}
-    state.commit(2, (3.0, 2.0, 1.0), 64.0, touched)
-    state.commit(2, (1.0, 0.0, 0.5), 32.0, touched)  # second commit, one snapshot
-    assert list(touched) == [2]
-    changed = state._row_broadcast((3.0, 2.0, 1.0), 64.0)
-    assert changed[2] != before_row[2] or changed[2] == float("-inf")
-
-    state.restore(2, touched[2])
-    assert (list(state.d0), list(state.d1), list(state.d2),
-            list(state.mem_avail)) == before
-    assert state._row_broadcast((3.0, 2.0, 1.0), 64.0) == before_row
-
-
-def test_mode_resolution_and_validation():
-    assert set(PLACEMENT_MODES) == {"scalar", "vector"}
-    assert resolve_mode("vector") == "vector"
-    assert resolve_mode(None) == get_default_mode()
-    with pytest.raises(ValueError):
-        resolve_mode("simd")
-    prev = get_default_mode()
-    try:
-        set_default_mode("vector")
-        assert resolve_mode(None) == "vector"
-        with pytest.raises(ValueError):
-            set_default_mode("nope")
-        assert get_default_mode() == "vector"  # failed set leaves it alone
-    finally:
-        set_default_mode(prev)
-    with pytest.raises(ValueError):
-        VectorUrsaPlacement(broadcast_min_workers=1)
+    expected = run(lambda: ReferenceUrsaPlacement(ept=0.3, stage_aware=stage_aware))
+    assert run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
 
 
 def test_ursa_config_selects_vector_engine():
+    """A default system places through the one engine; the oracle is only
+    reachable through the ``placement`` seam, and the retired engine knob
+    is gone from the config."""
     from repro.cluster import Cluster, ClusterSpec
     from repro.scheduler import UrsaConfig, UrsaSystem
 
-    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
-    system = UrsaSystem(cluster, UrsaConfig(placement_mode="vector"))
-    assert isinstance(system.placement, VectorUrsaPlacement)
-    scalar = UrsaSystem(Cluster(ClusterSpec.small(
-        num_machines=2, cores=4, core_rate_mbps=10.0)), UrsaConfig())
-    assert not isinstance(scalar.placement, VectorUrsaPlacement)
-    with pytest.raises(ValueError):
-        UrsaSystem(Cluster(ClusterSpec.small(
-            num_machines=2, cores=4, core_rate_mbps=10.0)),
-            UrsaConfig(placement_mode="simd"))
+    from .oracle import OracleConfig
+
+    def cluster():
+        return Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
+
+    system = UrsaSystem(cluster(), UrsaConfig())
+    assert type(system.placement) is UrsaPlacement
+    oracle = UrsaSystem(cluster(), OracleConfig(stage_aware=False))
+    assert isinstance(oracle.placement, ReferenceUrsaPlacement)
+    assert oracle.placement.stage_aware is False
+    with pytest.raises(TypeError):
+        UrsaConfig(placement_mode="vector")
 
 
 def test_vector_profiler_counters_populate():
-    """A profiled vector run reports its stages/rows/fallback activity."""
+    """A profiled round reports the rows its repeated profiles built and
+    the locality-pinned searches it ran."""
     from repro.cluster import Cluster, ClusterSpec
     from repro.perf import profile as tick_profile
+    from repro.scheduler import Worker
 
     prof = tick_profile.enable()
     try:
         cluster = Cluster(ClusterSpec.small(num_machines=4, cores=4, core_rate_mbps=10.0))
-        from repro.scheduler import Worker
-
         workers = [Worker(cluster, i, EarliestJobFirst()) for i in range(4)]
         jm = build_jm(cluster, n_tasks=6, size=10.0)
         for task in list(jm.ready_tasks)[:2]:
             task.locality = 1
-        placement = VectorUrsaPlacement(ept=0.3)
-        placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
+        UrsaPlacement(ept=0.3).place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     finally:
         tick_profile.disable()
-    assert prof.vector_stages > 0
-    assert prof.vector_rows > 0
-    assert prof.vector_fallbacks >= 2  # the two locality-pinned tasks
+    assert prof.profile_rows > 0
+    assert prof.pinned_tasks >= 2  # the two locality-pinned tasks
+    assert prof.workers_scanned < prof.tasks_scored * len(workers)
     d = prof.as_dict()
-    assert {"vector_stages", "vector_rows", "vector_fallbacks",
-            "vector_rebuilds"} <= set(d)
+    assert {"profile_rows", "pinned_tasks"} <= set(d)
+    assert not any(k.startswith("vector_") for k in d)
