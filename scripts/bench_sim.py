@@ -51,11 +51,10 @@ def _run_once(
     from repro.workloads import submit_workload, synthetic_setting1
 
     rec = obs_recorder.enable() if traced else None
-    if rec is not None:
-        rec.begin_unit("bench_sim")
     tel = obs_telemetry.enable() if telemetry else None
-    if tel is not None:
-        tel.begin_unit("bench_sim")
+    if traced or telemetry:
+        # one label on the log: the trace and the telemetry fold follow it
+        obs_recorder.RECORDER.begin_unit("bench_sim")
     sc = SCALES["bench"]
     cluster = Cluster(sc.cluster)
     system = UrsaSystem(cluster, UrsaConfig(policy="ejf", policy_weight=5.0))

@@ -26,6 +26,7 @@ from typing import Optional, Protocol
 from ..cluster.cluster import Cluster
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask, MonotaskState, Task, TaskState
+from ..obs import events as _ev
 from ..obs import recorder as _obs
 from .estimator import estimate_task_memory, estimate_task_usage
 from .job import Job, JobState
@@ -88,14 +89,17 @@ class JobManager:
         self.job.admit_time = self.sim.now
         rec = _obs.RECORDER
         if rec is not None:
-            rec.jm_start(self.sim.now, self.job.job_id)
+            rec.log.append((_ev.JM_START, self.sim.now, self.job.job_id))
         if self.job.num_tasks == 0:
             # a no-op graph (e.g. collect() on raw input data) is complete
             # the moment it is admitted
             self.job.state = JobState.DONE
             self.job.finish_time = self.sim.now
             if rec is not None:
-                rec.job_finish(self.sim.now, self.job.job_id, self.job.jct or 0.0)
+                rec.log.append((
+                    _ev.JOB_FINISH, self.sim.now, self.job.job_id,
+                    self.job.jct or 0.0, False, False,
+                ))
             self.backend.on_job_complete(self)
             return
         newly = []
@@ -123,13 +127,13 @@ class JobManager:
         if rec is not None:
             now = self.sim.now
             for task in tasks:
-                rec.task_ready(
-                    now, self.job.job_id, task.task_id,
+                rec.log.append((
+                    _ev.TASK_READY, now, self.job.job_id, task.task_id,
                     task.stage.stage_id if task.stage is not None else -1,
                     len(task.monotasks), task.input_size_mb(),
-                )
-                rec.task_deps(
-                    now, self.job.job_id, task.task_id,
+                ))
+                rec.log.append((
+                    _ev.TASK_DEPS, now, self.job.job_id, task.task_id,
                     [
                         [
                             mt.mt_id, mt.rtype.value, mt.input_size_mb,
@@ -137,7 +141,7 @@ class JobManager:
                         ]
                         for mt in task.monotasks
                     ],
-                )
+                ))
         self.backend.on_tasks_ready(self, tasks)
 
     # ------------------------------------------------------------------
@@ -272,10 +276,11 @@ class JobManager:
         assert task is not None
         rec = _obs.RECORDER
         if rec is not None:
-            rec.mt_finish(
-                self.sim.now, self.job.job_id, task.task_id, mt.mt_id,
-                mt.rtype.value, task.worker if task.worker is not None else -1,
-            )
+            rec.log.append((
+                _ev.MT_FINISH, self.sim.now, self.job.job_id, task.task_id,
+                mt.mt_id, mt.rtype.value,
+                task.worker if task.worker is not None else -1,
+            ))
         task.remaining_monotasks -= 1
         self.job.decrement_remaining(mt.rtype, mt.input_size_mb)
         if mt.rtype is ResourceType.CPU and mt.started_at is not None:
@@ -407,7 +412,9 @@ class JobManager:
         self.ready_tasks.clear()
         rec = _obs.RECORDER
         if rec is not None:
-            rec.job_finish(now, self.job.job_id, self.job.jct or 0.0, failed=True)
+            rec.log.append((
+                _ev.JOB_FINISH, now, self.job.job_id, self.job.jct or 0.0, True, False
+            ))
 
     def _task_finished(self, task: Task) -> None:
         task.state = TaskState.DONE
@@ -416,7 +423,10 @@ class JobManager:
         assert task.worker is not None
         rec = _obs.RECORDER
         if rec is not None:
-            rec.task_finish(self.sim.now, self.job.job_id, task.task_id, task.worker)
+            rec.log.append((
+                _ev.TASK_FINISH, self.sim.now, self.job.job_id, task.task_id,
+                task.worker,
+            ))
         machine = self.cluster.machine(task.worker)
         if self.reserve_task_memory:
             machine.release_memory(task.est_mem_mb)
@@ -441,5 +451,8 @@ class JobManager:
             self.job.state = JobState.DONE
             self.job.finish_time = self.sim.now
             if rec is not None:
-                rec.job_finish(self.sim.now, self.job.job_id, self.job.jct or 0.0)
+                rec.log.append((
+                    _ev.JOB_FINISH, self.sim.now, self.job.job_id,
+                    self.job.jct or 0.0, False, False,
+                ))
             self.backend.on_job_complete(self)

@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING, Optional
 
 from ..dataflow.monotask import Monotask, MonotaskState, Task, TaskState
 from ..execution.job import JobState
+from ..obs import events as _ev
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .plan import (
     FaultPlan,
     GrantTimeout,
@@ -146,10 +146,7 @@ class FaultController:
             self.stats.blackouts += 1
         rec = _obs.RECORDER
         if rec is not None:
-            rec.worker_down(now, worker, kind)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.worker_down(now, worker, kind)
+            rec.log.append((_ev.WORKER_DOWN, now, worker, kind))
 
         wk.fault_crash()
         self._down.add(worker)
@@ -163,11 +160,13 @@ class FaultController:
             self.system.failed_jobs.append(job)
             self.stats.jobs_failed += 1
             if rec is not None:
-                rec.job_finish(now, job.job_id, job.jct or 0.0, failed=True)
-            if tel is not None:
-                tel.job_failed_unadmitted(now)
-        if tel is not None and doomed:
-            tel.admission_queue(now, self.system.admission.queue_length)
+                rec.log.append((
+                    _ev.JOB_FINISH, now, job.job_id, job.jct or 0.0, True, True
+                ))
+        if rec is not None and doomed:
+            rec.log.append((
+                _ev.ADMISSION_QUEUE, now, self.system.admission.queue_length
+            ))
 
         freed: dict[int, None] = {}
         pending_keys: set[tuple[int, int]] = set()
@@ -188,9 +187,7 @@ class FaultController:
                 self._attempts[key] = attempt
                 self.stats.retries_charged += 1
                 if rec is not None:
-                    rec.retry(now, job_id, task.task_id, attempt, kind)
-                if tel is not None:
-                    tel.retry()
+                    rec.log.append((_ev.RETRY, now, job_id, task.task_id, attempt, kind))
                 if attempt > self.retry.max_attempts:
                     over_budget = True
             if over_budget:
@@ -226,11 +223,10 @@ class FaultController:
         self.system.admission.resize(self._admittable_memory())
         rec = _obs.RECORDER
         if rec is not None:
-            rec.worker_up(self.sim.now, worker)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.worker_up(self.sim.now, worker)
-            tel.admission_queue(self.sim.now, self.system.admission.queue_length)
+            rec.log.append((_ev.WORKER_UP, self.sim.now, worker))
+            rec.log.append((
+                _ev.ADMISSION_QUEUE, self.sim.now, self.system.admission.queue_length
+            ))
         self.system._try_admit()
         self.system._ensure_tick()
 
@@ -289,37 +285,33 @@ class FaultController:
         assert task is not None
         now = self.sim.now
         self.stats.grant_timeouts += 1
-        tel = _tel.TELEMETRY
+        rec = _obs.RECORDER
         jp = jm._jps.get(ev.worker)
         if jp is not None:
             waste = jp.abort_monotask(mt)
             self.stats.wasted_work_mb += waste
-            if tel is not None:
-                tel.wasted_work(waste)
+            if rec is not None:
+                rec.log.append((_ev.WASTED_WORK, now, waste))
         wk.release_running(mt.rtype)
-        if tel is not None:
-            # the grant's busy interval ends here; no release will follow
-            tel.abort(now, ev.worker, mt.rtype.value)
-            tel.mt_lost()
         # the work stays assigned to this worker: only the grant was lost,
         # so the monotask keeps its resolved inputs and re-queues in place
         mt.state = MonotaskState.READY
         mt.started_at = None
         self.stats.monotasks_lost += 1
-        rec = _obs.RECORDER
         if rec is not None:
-            rec.mt_lost(
-                now, ev.worker, mt.rtype.value, jm.job.job_id, task.task_id,
-                mt.mt_id, "timeout",
-            )
+            # the grant's busy interval ends here; no release will follow
+            rec.log.append((
+                _ev.MT_LOST, now, ev.worker, mt.rtype.value, jm.job.job_id,
+                task.task_id, mt.mt_id, "timeout", True,
+            ))
         key = (jm.job.job_id, task.task_id)
         attempt = self._attempts.get(key, 0) + 1
         self._attempts[key] = attempt
         self.stats.retries_charged += 1
         if rec is not None:
-            rec.retry(now, jm.job.job_id, task.task_id, attempt, "timeout")
-        if tel is not None:
-            tel.retry()
+            rec.log.append((
+                _ev.RETRY, now, jm.job.job_id, task.task_id, attempt, "timeout"
+            ))
         if attempt > self.retry.max_attempts:
             freed: dict[int, None] = {}
             self._fail_job(jm, freed)
@@ -354,7 +346,6 @@ class FaultController:
         worker's freed slots are backfilled by the caller after the whole
         restart set is processed, so mid-teardown grants cannot race."""
         rec = _obs.RECORDER
-        tel = _tel.TELEMETRY
         now = self.sim.now
         if task.state is TaskState.PLACED and task.worker is not None:
             widx = task.worker
@@ -364,7 +355,9 @@ class FaultController:
                 for q in wk.queues.values():
                     q.evict(lambda e, t=task: e.mt.task is t)
             jp = jm._jps.get(widx)
-            lost: list[Monotask] = []
+            # (monotask, held a grant): every RUNNING monotask — bypass lane
+            # included — held one that will never reach the release seam
+            lost: list[tuple[Monotask, bool]] = []
             for mt in task.monotasks:
                 if mt.state is MonotaskState.RUNNING:
                     if jp is not None:
@@ -372,28 +365,22 @@ class FaultController:
                     if wk.alive and not wk.is_bypass(mt):
                         wk.release_running(mt.rtype)
                         freed[widx] = None
-                    if tel is not None:
-                        # every RUNNING monotask held a grant (bypass lane
-                        # included) that will never reach the release seam
-                        tel.abort(now, widx, mt.rtype.value)
-                    lost.append(mt)
+                    lost.append((mt, True))
                 elif mt.state is MonotaskState.QUEUED:
-                    lost.append(mt)
+                    lost.append((mt, False))
             if wk.alive:
                 wk.remove_assigned_task(task)
             if rec is not None:
-                for mt in lost:
-                    rec.mt_lost(
-                        now, widx, mt.rtype.value, jm.job.job_id,
-                        task.task_id, mt.mt_id, reason,
-                    )
+                for mt, running in lost:
+                    rec.log.append((
+                        _ev.MT_LOST, now, widx, mt.rtype.value, jm.job.job_id,
+                        task.task_id, mt.mt_id, reason, running,
+                    ))
             self.stats.monotasks_lost += len(lost)
-            if tel is not None:
-                tel.mt_lost(len(lost))
         waste = jm.fault_rewind_task(task)
         self.stats.wasted_work_mb += waste
-        if tel is not None:
-            tel.wasted_work(waste)
+        if rec is not None:
+            rec.log.append((_ev.WASTED_WORK, now, waste))
 
     def _fail_job(self, jm: "JobManager", freed: dict[int, None]) -> None:
         """Retry budget exhausted: tear down the job's placed tasks (their
@@ -433,7 +420,7 @@ class FaultController:
             return
         key = (jm.job.job_id, task.task_id)
         now = self.sim.now
-        tel = _tel.TELEMETRY
+        rec = _obs.RECORDER
         kept: list[list] = []
         for t0, keys in self._pending:
             keys.discard(key)
@@ -441,6 +428,6 @@ class FaultController:
                 kept.append([t0, keys])
             else:
                 self.stats.recovery_times.append(now - t0)
-                if tel is not None:
-                    tel.fault_recovery(now - t0)
+                if rec is not None:
+                    rec.log.append((_ev.FAULT_RECOVERY, now, now - t0))
         self._pending = kept

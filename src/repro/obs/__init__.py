@@ -1,19 +1,22 @@
-"""Opt-in observability: monotask lifecycle tracing and trace export.
+"""Opt-in observability: one observation log and its two views.
+
+Every hook site appends one tuple to the log of the global recorder; the
+lifecycle trace and the telemetry aggregates are both read from it.
 
 Public surface:
 
 * :mod:`repro.obs.recorder` — ``enable()`` / ``disable()`` / ``RECORDER``
-  (the module-global hook the hot paths read, mirroring
-  ``repro.perf.profile``).
-* :mod:`repro.obs.events` — the event-kind constants and field schema.
+  (the module-global log the hot paths append to, mirroring
+  ``repro.perf.profile``) and the trace view ``TraceRecorder.events``.
+* :mod:`repro.obs.events` — the event-kind constants and the log schema.
 * :mod:`repro.obs.latency` — allocation-latency / queue-wait distributions
   derived from an event stream.
 * :mod:`repro.obs.export` — JSONL and Chrome Trace Format (Perfetto)
   serialization plus schema validation.
-* :mod:`repro.obs.telemetry` — aggregated cluster metrics (counters,
-  gauges, exact busy-time integrals, streaming histograms); its
-  ``enable``/``disable`` clash with the recorder's, so access it via the
-  submodule (``from repro.obs import telemetry``).
+* :mod:`repro.obs.telemetry` — the aggregated view: counters, gauges,
+  exact busy-time integrals and streaming histograms folded from the log
+  (``from repro.obs import telemetry``; ``telemetry.enable()`` attaches to
+  the installed recorder or installs one).
 * :mod:`repro.obs.timeseries` — the series primitives telemetry builds on.
 * :mod:`repro.obs.promexport` — Prometheus/OpenMetrics text exposition of
   a telemetry collector, plus a line-format validator.

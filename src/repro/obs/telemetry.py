@@ -1,16 +1,18 @@
-"""Opt-in cluster telemetry (same module-global pattern as ``obs.recorder``).
+"""Cluster telemetry: the aggregated view of the observation log.
 
-Where the :mod:`~repro.obs.recorder` captures a *per-event trace* (one dict
-per lifecycle event, replayable into Chrome/Perfetto), the telemetry
-collector maintains *aggregated series*: counters, gauges, streaming
+Where the trace (:attr:`~repro.obs.recorder.TraceRecorder.events`) keeps
+one dict per lifecycle event, replayable into Chrome/Perfetto, telemetry
+folds the same log into *aggregated series*: counters, gauges, streaming
 histograms, and — the core of it — **exact busy-time integrals** per worker
 and per resource, computed from grant/release edges rather than sampling.
 A monotask that runs 37 ms contributes exactly 0.037 busy-seconds to its
 worker's resource, no matter how the 1-second resampling grid falls.
 
-The hot paths read one module global (:data:`TELEMETRY`) per hook site and
-branch away while it is ``None``; every hook is a pure observation (no
-scheduling, no mutation, no wall clock), so telemetry-on runs stay
+Telemetry has no hooks of its own: a collector attaches to the global
+:data:`~repro.obs.recorder.RECORDER` (installing one if none is) and
+:meth:`UnitTelemetry.fold` replays the log entries it saw, in event order,
+when the unit ends or a summary, the dashboard, or ``end_time()`` needs
+them.  Folding is pure observation, so telemetry-on runs stay
 bit-identical to telemetry-off runs — enforced by ``tests/obs``.
 
 Usage::
@@ -22,17 +24,16 @@ Usage::
     summary = telemetry.disable().summary()
 
 or via the CLI: ``python -m repro.experiments --telemetry-out DIR`` /
-``--dashboard`` (both force serial in-process execution, like ``--trace``).
+``--dashboard`` (both force serial in-process execution).
 
-Enable the collector *before* building the
-:class:`~repro.simcore.engine.Simulation`: the engine registers itself at
-construction so per-unit engine event counts and the final simulation time
-can be harvested without a per-event callback (a Python call per engine
-event would dwarf every other hook; lazy harvesting costs nothing).
+Enable telemetry *before* building the
+:class:`~repro.simcore.engine.Simulation`: workers log their capacities at
+construction, and the engine logs its event count and clock each time a
+run stops (not once per event).
 
 Series semantics: signals (active monotasks, queue depth, queued MB,
-admission-queue length, running jobs) are piecewise-constant between hook
-edges; :class:`~repro.obs.timeseries.StepAccumulator` folds each segment
+admission-queue length, running jobs) are piecewise-constant between log
+entries; :class:`~repro.obs.timeseries.StepAccumulator` folds each segment
 into fixed-``interval`` bins, so ``series[k]`` is the exact time-weighted
 mean over ``[k·interval, (k+1)·interval)``.  Cluster utilization divides
 the summed per-worker active counts by the summed concurrency limits —
@@ -42,9 +43,12 @@ limit, so network utilization can transiently exceed 1.0.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
-from .timeseries import LATENCY_BOUNDS, StepAccumulator, StreamingHistogram, TimeBins
+from . import events as _ev
+from . import recorder as _rec
+from .timeseries import LATENCY_BOUNDS, StepAccumulator, StreamingHistogram
 
 __all__ = ["TelemetryCollector", "UnitTelemetry", "TELEMETRY", "enable", "disable",
            "unit_summary", "RTYPES", "JCT_BOUNDS"]
@@ -68,77 +72,29 @@ _COUNTER_KEYS = (
 )
 
 
-class _DualStep:
-    """Two piecewise-constant signals sharing one clock (queue depth and
-    queued MB change at the same instants; folding them together halves the
-    bookkeeping on the push/pop hot path)."""
-
-    __slots__ = ("a", "b", "last_t", "int_a", "int_b", "peak_a", "peak_b",
-                 "bins_a", "bins_b")
-
-    def __init__(self, bin_width: float):
-        self.a = 0.0
-        self.b = 0.0
-        self.last_t = 0.0
-        self.int_a = 0.0
-        self.int_b = 0.0
-        self.peak_a = 0.0
-        self.peak_b = 0.0
-        self.bins_a = TimeBins(bin_width)
-        self.bins_b = TimeBins(bin_width)
-
-    def set2(self, t: float, a: float, b: float) -> None:
-        lt = self.last_t
-        if t > lt:
-            dt = t - lt
-            va = self.a
-            vb = self.b
-            self.int_a += va * dt
-            self.int_b += vb * dt
-            self.bins_a.add(lt, t, va)
-            self.bins_b.add(lt, t, vb)
-            self.last_t = t
-        self.a = a
-        self.b = b
-        if a > self.peak_a:
-            self.peak_a = a
-        if b > self.peak_b:
-            self.peak_b = b
-
-    def advance(self, t: float) -> None:
-        self.set2(t, self.a, self.b)
-
-
-#: opcodes for the deferred-fold log (ints: tuple[0] compares fastest)
-_OP_GRANT, _OP_RELEASE, _OP_ABORT, _OP_QPUSH, _OP_QPOP, _OP_QEVICT, _OP_TICK = range(7)
-
-
 class UnitTelemetry:
     """All metric state for one simulation unit (one experiment run).
 
-    The high-frequency hooks (grant/release/abort, queue push/pop/evict,
-    scheduler ticks — tens of thousands per run) do **not** aggregate
-    inline: they append an op tuple to :attr:`log`, and :meth:`fold`
-    replays the log into the accumulators the first time a summary, the
-    dashboard, or ``end_time()`` needs them.  The scheduler's timed hot
-    path thus pays one list append per edge instead of dict lookups plus
-    float integration; replay preserves the exact event order, so the
-    folded aggregates are identical to inline aggregation.
+    While the unit is current, :attr:`log` is the recorder's log it reads
+    from :attr:`folded` on, and :meth:`fold` replays the new entries into
+    the accumulators on demand; the collector folds the rest when the unit
+    ends.  Replay follows log order, which is event order, so folding in
+    several passes yields exactly what one pass would.
     """
 
     def __init__(self, label: str, interval: float):
         self.label = label
         self.interval = interval
-        #: deferred op log, replayed by fold()
-        self.log: list[tuple] = []
+        self.log: Optional[list] = None
+        self.folded = 0
         self.counters: dict[str, float] = {k: 0 for k in _COUNTER_KEYS}
         self.counters["wasted_work_mb"] = 0.0
-        #: (worker, rtype) -> concurrency limit, registered by Worker.__init__
+        #: (worker, rtype) -> concurrency limit, from the worker_spec entries
         self.capacity: dict[tuple[int, str], int] = {}
         #: (worker, rtype) -> active-monotask StepAccumulator
         self.busy: dict[tuple[int, str], StepAccumulator] = {}
-        #: (worker, rtype) -> (queue depth, queued MB) dual accumulator
-        self.queue: dict[tuple[int, str], _DualStep] = {}
+        #: (worker, rtype) -> (queue depth, queued MB) accumulators
+        self.queue: dict[tuple[int, str], tuple[StepAccumulator, StepAccumulator]] = {}
         self.admission_q = StepAccumulator(interval)
         self.running_jobs = StepAccumulator(interval)
         self.alloc_hist = {r: StreamingHistogram(LATENCY_BOUNDS) for r in RTYPES}
@@ -150,103 +106,141 @@ class UnitTelemetry:
         self.down_since: dict[int, float] = {}
         self.repair_times: list[float] = []
         self.recovery_times: list[float] = []
-        self.engine = None  # the unit's Simulation, registered at construction
+        #: the unit's last ``engine`` entry: events fired, final clock
+        self.engine_seen = False
         self.engine_events = 0
         self.sim_end = 0.0
 
     def is_empty(self) -> bool:
-        """True for units that never saw a simulation or a hook — e.g. the
-        initial ``"run"`` placeholder when every unit was relabelled.
-        Empty units are dropped from summaries and exports."""
-        return (self.engine is None and not self.log
-                and not any(self.counters.values()))
+        """True for units that never saw a simulation or a counted entry —
+        e.g. the initial ``"run"`` placeholder when every unit was
+        relabelled.  Empty units are dropped from summaries and exports."""
+        self.fold()
+        return not self.engine_seen and not any(self.counters.values())
 
     def fold(self) -> None:
-        """Replay the deferred op log into the aggregate structures.
+        """Replay the unfolded log entries into the aggregate structures."""
+        log, start = self.log, self.folded
+        if log is not None and len(log) > start:
+            self.folded = len(log)
+            self._replay(islice(log, start, self.folded))
 
-        Runs once per unit (at seal/summary time); the log is replayed in
-        append order, which is event order, so the result is exactly what
-        inline aggregation would have produced.
-        """
-        log = self.log
-        if not log:
-            return
-        self.log = []
-        interval = self.interval
-        c = self.counters
-        busy = self.busy
-        queue = self.queue
+    def _replay(self, entries) -> None:
+        busy_acc = self.busy_acc
+        queue_acc = self.queue_acc
         pending = self.pending_alloc
-        alloc_hist = self.alloc_hist
-        grants = bypass = releases = aborts = 0
-        pushes = pops = evicted = ticks = assigned = 0
-        for op in log:
-            kind = op[0]
-            if kind == _OP_GRANT:
-                _, t, worker, rtype, job, mt, byp = op
+        c = self.counters
+        grants = bypass = releases = pushes = pops = ticks = assigned = 0
+        for e in entries:
+            kind = e[0]
+            # the per-monotask kinds first; the trace kinds no aggregate
+            # reads (jm_start, task_*, mt_finish) fall through
+            if kind == _ev.QUEUE_PUSH:
+                _, t, worker, rtype, job, mt, qlen, work_mb = e
+                pushes += 1
+                pending[(job, mt)] = t
+                depth, mb = queue_acc(worker, rtype)
+                depth.set(t, qlen)
+                mb.set(t, work_mb)
+            elif kind == _ev.QUEUE_POP:
+                _, t, worker, rtype, _, _, qlen, work_mb = e
+                pops += 1
+                depth, mb = queue_acc(worker, rtype)
+                depth.set(t, qlen)
+                mb.set(t, work_mb)
+            elif kind == _ev.MT_START:
+                _, t, worker, rtype, job, mt, _, byp = e
                 grants += 1
                 if byp:
                     bypass += 1
                     lat = 0.0
                 else:
                     lat = t - pending.pop((job, mt), t)
-                alloc_hist[rtype].observe(lat)
-                acc = busy.get((worker, rtype))
-                if acc is None:
-                    acc = busy[(worker, rtype)] = StepAccumulator(interval)
-                acc.delta(t, 1.0)
-            elif kind == _OP_RELEASE:
-                _, t, worker, rtype = op
+                self.alloc_hist[rtype].observe(lat)
+                busy_acc(worker, rtype).delta(t, 1.0)
+            elif kind == _ev.RES_RELEASE:
                 releases += 1
-                acc = busy.get((worker, rtype))
-                if acc is None:
-                    acc = busy[(worker, rtype)] = StepAccumulator(interval)
-                acc.delta(t, -1.0)
-            elif kind == _OP_QPUSH:
-                _, t, worker, rtype, job, mt, qlen, work_mb = op
-                pushes += 1
-                pending[(job, mt)] = t
-                q = queue.get((worker, rtype))
-                if q is None:
-                    q = queue[(worker, rtype)] = _DualStep(interval)
-                q.set2(t, qlen, work_mb)
-            elif kind == _OP_QPOP:
-                _, t, worker, rtype, qlen, work_mb = op
-                pops += 1
-                q = queue.get((worker, rtype))
-                if q is None:
-                    q = queue[(worker, rtype)] = _DualStep(interval)
-                q.set2(t, qlen, work_mb)
-            elif kind == _OP_TICK:
+                busy_acc(e[2], e[3]).delta(e[1], -1.0)
+            elif kind == _ev.SCHED_TICK:
                 ticks += 1
-                assigned += op[1]
-            elif kind == _OP_ABORT:
-                _, t, worker, rtype = op
-                aborts += 1
-                acc = busy.get((worker, rtype))
-                if acc is None:
-                    acc = busy[(worker, rtype)] = StepAccumulator(interval)
-                acc.delta(t, -1.0)
-            else:  # _OP_QEVICT
-                _, t, worker, rtype, qlen, work_mb, keys = op
-                evicted += len(keys)
+                assigned += e[2]
+            elif kind == _ev.ENGINE:
+                self.engine_seen = True
+                self.sim_end = e[1]
+                self.engine_events = e[2]
+            elif kind == _ev.WORKER_SPEC:
+                _, _, worker, cores, disks, net = e[:6]
+                for rtype, limit in (("cpu", cores), ("network", net), ("disk", disks)):
+                    self.capacity[(worker, rtype)] = limit
+                    busy_acc(worker, rtype)
+                    queue_acc(worker, rtype)
+            elif kind == _ev.JOB_SUBMIT:
+                c["jobs_submitted"] += 1
+                self.admission_q.set(e[1], e[5])
+            elif kind == _ev.JOB_ADMIT:
+                c["jobs_admitted"] += 1
+                self.admission_wait_hist.observe(e[3])
+            elif kind == _ev.ADMISSION_QUEUE:
+                self.admission_q.set(e[1], e[2])
+            elif kind == _ev.JOB_STARTED:
+                c["jobs_started"] += 1
+                self.running_jobs.set(e[1], e[2])
+            elif kind == _ev.JOB_COMPLETED:
+                c["jobs_completed"] += 1
+                self.jct_hist.observe(e[2])
+                self.running_jobs.set(e[1], e[3])
+            elif kind == _ev.JOB_FAILED:
+                c["jobs_failed"] += 1
+                self.running_jobs.set(e[1], e[2])
+            elif kind == _ev.JOB_FINISH:
+                # a waiting job doomed by a permanent capacity loss never
+                # held a reservation: the running-jobs gauge is untouched
+                if e[5]:
+                    c["jobs_failed"] += 1
+                    c["jobs_failed_unadmitted"] += 1
+            elif kind == _ev.WORKER_DOWN:
+                c["worker_down"] += 1
+                self.down_since[e[2]] = e[1]
+            elif kind == _ev.WORKER_UP:
+                c["worker_up"] += 1
+                down = self.down_since.pop(e[2], None)
+                if down is not None:
+                    self.repair_times.append(e[1] - down)
+            elif kind == _ev.MT_LOST:
+                c["monotasks_lost"] += 1
+                if e[8]:
+                    # a granted monotask torn down by the fault layer: its
+                    # release entry will never come
+                    c["aborts"] += 1
+                    busy_acc(e[2], e[3]).delta(e[1], -1.0)
+            elif kind == _ev.RETRY:
+                c["retries"] += 1
+            elif kind == _ev.QUEUE_EVICT:
+                _, t, worker, rtype, qlen, work_mb, keys = e
+                c["queue_evicted"] += len(keys)
                 for key in keys:
                     pending.pop(key, None)
-                q = queue.get((worker, rtype))
-                if q is None:
-                    q = queue[(worker, rtype)] = _DualStep(interval)
-                q.set2(t, qlen, work_mb)
+                depth, mb = queue_acc(worker, rtype)
+                depth.set(t, qlen)
+                mb.set(t, work_mb)
+            elif kind == _ev.WASTED_WORK:
+                c["wasted_work_mb"] += e[2]
+            elif kind == _ev.FAULT_RECOVERY:
+                self.recovery_times.append(e[2])
+            elif kind == _ev.JOB_SHED:
+                # never submitted: none of the job-lifecycle counters move
+                c["jobs_shed"] += 1
+            elif kind == _ev.AUTOSCALE:
+                c["autoscale_up" if e[2] > 0 else "autoscale_down"] += 1
         c["grants"] += grants
         c["bypass_grants"] += bypass
         c["releases"] += releases
-        c["aborts"] += aborts
         c["queue_pushes"] += pushes
         c["queue_pops"] += pops
-        c["queue_evicted"] += evicted
         c["sched_ticks"] += ticks
         c["tasks_assigned"] += assigned
 
-    # -- lazy accumulator accessors (capacity registration usually seeds
+    # -- lazy accumulator accessors (worker_spec entries usually seed
     # -- them eagerly; baselines that bypass Worker still get tracked)
     def busy_acc(self, worker: int, rtype: str) -> StepAccumulator:
         acc = self.busy.get((worker, rtype))
@@ -254,31 +248,25 @@ class UnitTelemetry:
             acc = self.busy[(worker, rtype)] = StepAccumulator(self.interval)
         return acc
 
-    def queue_acc(self, worker: int, rtype: str) -> _DualStep:
+    def queue_acc(self, worker: int, rtype: str) -> tuple[StepAccumulator, StepAccumulator]:
         acc = self.queue.get((worker, rtype))
         if acc is None:
-            acc = self.queue[(worker, rtype)] = _DualStep(self.interval)
+            acc = self.queue[(worker, rtype)] = (
+                StepAccumulator(self.interval), StepAccumulator(self.interval)
+            )
         return acc
-
-    def harvest_engine(self) -> None:
-        """Pull events-fired / final-time off the registered engine."""
-        sim = self.engine
-        if sim is not None:
-            self.engine_events = sim.events_fired
-            self.sim_end = sim.now
 
     def end_time(self) -> float:
         """The horizon all series are flushed to: the engine's final clock,
-        falling back to the latest hook edge when no engine registered."""
+        falling back to the latest log entry when no engine was logged."""
         self.fold()
-        self.harvest_engine()
         end = self.sim_end
         for acc in self.busy.values():
             if acc.last_t > end:
                 end = acc.last_t
-        for q in self.queue.values():
-            if q.last_t > end:
-                end = q.last_t
+        for depth, _ in self.queue.values():
+            if depth.last_t > end:
+                end = depth.last_t
         if self.admission_q.last_t > end:
             end = self.admission_q.last_t
         if self.running_jobs.last_t > end:
@@ -289,12 +277,10 @@ class UnitTelemetry:
 class TelemetryCollector:
     """Aggregated cluster metrics across simulation units.
 
-    Hook methods are grouped by the seam that calls them.  The
-    high-frequency ones (grants, releases, queue edges, ticks) append one
-    tuple to the unit's op log and defer all aggregation to
-    :meth:`UnitTelemetry.fold`; the low-frequency ones (job lifecycle,
-    faults — tens per run) update their accumulators inline.  The split is
-    safe because the inline hooks touch no state the folded ops read.
+    Attached to a :class:`~repro.obs.recorder.TraceRecorder`, the
+    collector follows the log's unit labels: each ``begin_unit`` folds the
+    current unit's last entries and hands the new log to the unit of the
+    new label.
     """
 
     def __init__(self, interval: float = 1.0):
@@ -308,6 +294,9 @@ class TelemetryCollector:
         #: this; it observes the collector and never touches the simulation,
         #: so determinism guarantees are unaffected.
         self.on_unit_end = None
+        #: the recorder whose log this collector folds (None when detached)
+        self.recorder: Optional[_rec.TraceRecorder] = None
+        self._installed: Optional[_rec.TraceRecorder] = None
 
     def _unit(self, label: str) -> UnitTelemetry:
         u = self.units.get(label)
@@ -317,153 +306,47 @@ class TelemetryCollector:
 
     def _seal_unit(self) -> None:
         u = self._u
-        u.harvest_engine()
         if self.on_unit_end is not None and not u.is_empty():
             self.on_unit_end(u)
 
-    def begin_unit(self, label: str) -> None:
-        """All subsequent hooks belong to simulation unit ``label``."""
+    def _drain(self) -> None:
+        """Fold the current unit's last entries and stop reading its log."""
+        u = self._u
+        u.fold()
+        u.log = None
+
+    def attach(self, rec: _rec.TraceRecorder) -> None:
+        """Fold ``rec``'s log from its current end on."""
+        if self.recorder is not None:
+            self.recorder.sinks.remove(self)
+        self.recorder = rec
+        rec.sinks.append(self)
+        self.follow(rec.unit, rec.log)
+
+    def detach(self) -> None:
+        """Stop folding new entries and seal the current unit."""
+        self._drain()
+        if self.recorder is not None:
+            self.recorder.sinks.remove(self)
+            self.recorder = None
         self._seal_unit()
-        self._u = self._unit(str(label))
 
-    @property
-    def unit(self) -> str:
-        return self._u.label
+    def follow(self, label: str, log: list) -> None:
+        """Entries appended to ``log`` from now on belong to unit ``label``
+        (the attached recorder calls this from ``begin_unit``)."""
+        self._drain()
+        if label != self._u.label:
+            self._seal_unit()
+            self._u = self._unit(label)
+        self._u.log = log
+        self._u.folded = len(log)
 
-    # ------------------------------------------------------------------
-    # engine seam (Simulation.__init__)
-    # ------------------------------------------------------------------
-    def attach_engine(self, sim) -> None:
-        """Register the unit's engine for lazy stats harvesting.  NOT a
-        per-event observer: a Python call per engine event would cost more
-        than every other hook combined."""
-        self._u.engine = sim
-
-    # ------------------------------------------------------------------
-    # worker seams (Worker.__init__ / _grant / _account_completion, and
-    # the fault layer's abort paths)
-    # ------------------------------------------------------------------
-    def worker_capacity(self, worker: int, limits: dict) -> None:
-        u = self._u
-        for rtype, limit in limits.items():
-            u.capacity[(worker, rtype)] = limit
-            u.busy_acc(worker, rtype)
-            u.queue_acc(worker, rtype)
-
-    def grant(self, t: float, worker: int, rtype: str,
-              job: int, mt: int, bypass: bool) -> None:
-        self._u.log.append((_OP_GRANT, t, worker, rtype, job, mt, bypass))
-
-    def release(self, t: float, worker: int, rtype: str) -> None:
-        self._u.log.append((_OP_RELEASE, t, worker, rtype))
-
-    def abort(self, t: float, worker: int, rtype: str) -> None:
-        """A granted monotask was torn down by the fault layer before it
-        could complete — the release seam will never fire for it."""
-        self._u.log.append((_OP_ABORT, t, worker, rtype))
-
-    # ------------------------------------------------------------------
-    # queue seams (MonotaskQueue.push / pop / evict)
-    # ------------------------------------------------------------------
-    def queue_push(self, t: float, worker: int, rtype: str,
-                   job: int, mt: int, qlen: int, work_mb: float) -> None:
-        self._u.log.append((_OP_QPUSH, t, worker, rtype, job, mt, qlen, work_mb))
-
-    def queue_pop(self, t: float, worker: int, rtype: str,
-                  qlen: int, work_mb: float) -> None:
-        self._u.log.append((_OP_QPOP, t, worker, rtype, qlen, work_mb))
-
-    def queue_evict(self, t: float, worker: int, rtype: str,
-                    qlen: int, work_mb: float, keys: list) -> None:
-        self._u.log.append((_OP_QEVICT, t, worker, rtype, qlen, work_mb, list(keys)))
-
-    # ------------------------------------------------------------------
-    # admission / job lifecycle seams
-    # ------------------------------------------------------------------
-    def job_submitted(self, t: float, qlen: int) -> None:
-        u = self._u
-        u.counters["jobs_submitted"] += 1
-        u.admission_q.set(t, qlen)
-
-    def job_admitted(self, t: float, waited: float) -> None:
-        u = self._u
-        u.counters["jobs_admitted"] += 1
-        u.admission_wait_hist.observe(waited)
-
-    def admission_queue(self, t: float, qlen: int) -> None:
-        self._u.admission_q.set(t, qlen)
-
-    def job_started(self, t: float, n_active: int) -> None:
-        u = self._u
-        u.counters["jobs_started"] += 1
-        u.running_jobs.set(t, n_active)
-
-    def job_completed(self, t: float, jct: float, n_active: int) -> None:
-        u = self._u
-        u.counters["jobs_completed"] += 1
-        u.jct_hist.observe(jct)
-        u.running_jobs.set(t, n_active)
-
-    def job_failed(self, t: float, n_active: int) -> None:
-        u = self._u
-        u.counters["jobs_failed"] += 1
-        u.running_jobs.set(t, n_active)
-
-    def job_failed_unadmitted(self, t: float) -> None:
-        """A waiting job doomed by a permanent capacity loss — it never
-        held a reservation, so the running-jobs gauge is untouched."""
-        u = self._u
-        u.counters["jobs_failed"] += 1
-        u.counters["jobs_failed_unadmitted"] += 1
-
-    # ------------------------------------------------------------------
-    # scheduler seam (UrsaSystem._tick)
-    # ------------------------------------------------------------------
-    def sched_tick(self, t: float, assigned: int) -> None:
-        self._u.log.append((_OP_TICK, assigned))
-
-    # ------------------------------------------------------------------
-    # fault-layer seams (FaultController)
-    # ------------------------------------------------------------------
-    def worker_down(self, t: float, worker: int, cause: str) -> None:
-        u = self._u
-        u.counters["worker_down"] += 1
-        u.down_since[worker] = t
-
-    def worker_up(self, t: float, worker: int) -> None:
-        u = self._u
-        u.counters["worker_up"] += 1
-        down = u.down_since.pop(worker, None)
-        if down is not None:
-            u.repair_times.append(t - down)
-
-    def retry(self, n: int = 1) -> None:
-        self._u.counters["retries"] += n
-
-    def mt_lost(self, n: int = 1) -> None:
-        self._u.counters["monotasks_lost"] += n
-
-    def fault_recovery(self, duration: float) -> None:
-        """Seconds from a fault until its last restarted task re-completed
-        (the MTTR sample the faults experiments aggregate)."""
-        self._u.recovery_times.append(duration)
-
-    def wasted_work(self, mb: float) -> None:
-        self._u.counters["wasted_work_mb"] += mb
-
-    # ------------------------------------------------------------------
-    # service-layer seams (ServiceDriver / Autoscaler)
-    # ------------------------------------------------------------------
-    def job_shed(self, t: float) -> None:
-        """An arrival rejected by admission backpressure (never submitted,
-        so none of the job-lifecycle counters move for it)."""
-        self._u.counters["jobs_shed"] += 1
-
-    def autoscale(self, t: float, direction: int, active: int) -> None:
-        """The autoscaler added (+1) or drained (−1) a worker; ``active``
-        is the post-action live-worker count."""
-        key = "autoscale_up" if direction > 0 else "autoscale_down"
-        self._u.counters[key] += 1
+    def begin_unit(self, label: str) -> None:
+        """All subsequent entries belong to simulation unit ``label`` — a
+        relabel of the attached log, which every view of it follows (a
+        detached collector sees no entries, so there is nothing to label)."""
+        if self.recorder is not None:
+            self.recorder.begin_unit(label)
 
     # ------------------------------------------------------------------
     # summaries
@@ -526,16 +409,18 @@ def unit_summary(u: UnitTelemetry) -> dict:
     queues = {}
     for rtype in RTYPES:
         workers = sorted(w for (w, r) in u.queue if r == rtype)
-        accs = [u.queue[(w, rtype)] for w in workers]
-        for acc in accs:
-            acc.advance(end)
+        pairs = [u.queue[(w, rtype)] for w in workers]
+        depth = [d for d, _ in pairs]
+        mb = [m for _, m in pairs]
+        depth_series = _sum_series([a.series(end) for a in depth])
+        mb_series = _sum_series([a.series(end) for a in mb])
         queues[rtype] = {
-            "depth_mean": sum(a.int_a for a in accs) / end if end > 0 else 0.0,
-            "depth_worker_peak": max((a.peak_a for a in accs), default=0.0),
-            "depth_series": _sum_series([a.bins_a.series(end) for a in accs]),
-            "mb_mean": sum(a.int_b for a in accs) / end if end > 0 else 0.0,
-            "mb_worker_peak": max((a.peak_b for a in accs), default=0.0),
-            "mb_series": _sum_series([a.bins_b.series(end) for a in accs]),
+            "depth_mean": sum(a.integral for a in depth) / end if end > 0 else 0.0,
+            "depth_worker_peak": max((a.peak for a in depth), default=0.0),
+            "depth_series": depth_series,
+            "mb_mean": sum(a.integral for a in mb) / end if end > 0 else 0.0,
+            "mb_worker_peak": max((a.peak for a in mb), default=0.0),
+            "mb_series": mb_series,
         }
 
     rep, rec_ = u.repair_times, u.recovery_times
@@ -584,23 +469,33 @@ def _sum_series(series_list: list[list[float]]) -> list[float]:
     return out
 
 
-#: The active collector, or ``None`` when telemetry is off.  Hook sites
-#: read this exactly once per call and branch away while it is ``None``.
+#: The installed collector, or ``None`` when telemetry is off.  Hook sites
+#: never read it: they append to the recorder's log, which it folds.
 TELEMETRY: Optional[TelemetryCollector] = None
 
 
 def enable(interval: float = 1.0) -> TelemetryCollector:
-    """Install (and return) a fresh global collector."""
+    """Install (and return) a fresh global collector, attached to the
+    installed recorder — or to a new one when observation is off."""
     global TELEMETRY
-    TELEMETRY = TelemetryCollector(interval)
-    return TELEMETRY
+    tel = TelemetryCollector(interval)
+    disable()
+    rec = _rec.RECORDER
+    if rec is None:
+        rec = tel._installed = _rec.enable()
+    tel.attach(rec)
+    TELEMETRY = tel
+    return tel
 
 
 def disable() -> Optional[TelemetryCollector]:
     """Uninstall the global collector and return it (None if not enabled).
-    The final unit's engine stats are harvested on the way out."""
+    It detaches from the log, sealing its last unit, and uninstalls the
+    recorder :func:`enable` installed for it."""
     global TELEMETRY
     tel, TELEMETRY = TELEMETRY, None
     if tel is not None:
-        tel._seal_unit()
+        tel.detach()
+        if tel._installed is not None and _rec.RECORDER is tel._installed:
+            _rec.disable()
     return tel

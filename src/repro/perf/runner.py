@@ -47,7 +47,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Optional, Sequence
 
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .cache import ResultCache
 
 __all__ = ["ParallelRunner", "default_workers"]
@@ -331,12 +330,10 @@ class ParallelRunner:
     def _run_and_store(self, sc, spec: _UnitSpec) -> Any:
         rec = _obs.RECORDER
         if rec is not None:
-            # label the unit's events so multi-unit traces stay separable
-            # (each unit restarts its sim clock at t=0)
+            # label the unit's log entries so multi-unit traces and
+            # telemetry stay separable (each unit restarts its sim clock at
+            # t=0); attached telemetry follows the label
             rec.begin_unit(f"{spec.experiment}:{spec.key}")
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.begin_unit(f"{spec.experiment}:{spec.key}")
         t0 = time.perf_counter()
         payload = _execute_unit(spec.experiment, sc, spec.key, spec.seed, spec.kwargs)
         self.compute_s += time.perf_counter() - t0

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..execution.job import Job
+from ..obs import events as _ev
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .ordering import SchedulingPolicy
 
 __all__ = ["AdmissionController"]
@@ -55,13 +55,10 @@ class AdmissionController:
         self._wait_since[job.job_id] = now
         rec = _obs.RECORDER
         if rec is not None:
-            rec.job_submit(
-                now, job.job_id, job.category, job.requested_memory_mb,
-                len(self.waiting),
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_submitted(now, len(self.waiting))
+            rec.log.append((
+                _ev.JOB_SUBMIT, now, job.job_id, job.category,
+                job.requested_memory_mb, len(self.waiting),
+            ))
 
     def release(self, job: Job) -> None:
         self.reserved_mb = max(0.0, self.reserved_mb - job.requested_memory_mb)
@@ -95,7 +92,6 @@ class AdmissionController:
         """Admit as many waiting jobs as memory allows, in policy order."""
         admitted: list[Job] = []
         rec = _obs.RECORDER
-        tel = _tel.TELEMETRY
         self.waiting.sort(key=lambda j: (self.policy.job_rank(j, now), j.job_id))
         head_blocked = False
         remaining: list[Job] = []
@@ -108,19 +104,18 @@ class AdmissionController:
                 admitted.append(job)
                 since = self._wait_since.pop(job.job_id, now)
                 if rec is not None:
-                    rec.job_admit(
-                        now, job.job_id, now - since, job.requested_memory_mb
-                    )
-                if tel is not None:
-                    tel.job_admitted(now, now - since)
+                    rec.log.append((
+                        _ev.JOB_ADMIT, now, job.job_id, now - since,
+                        job.requested_memory_mb,
+                    ))
             else:
                 if not head_blocked:
                     self._blocked_head = job
                 head_blocked = True
                 remaining.append(job)
         self.waiting = remaining
-        if tel is not None and admitted:
-            tel.admission_queue(now, len(self.waiting))
+        if rec is not None and admitted:
+            rec.log.append((_ev.ADMISSION_QUEUE, now, len(self.waiting)))
         return admitted
 
     def _head_starving(self, now: float) -> bool:

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask
+from ..obs import events as _ev
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .ordering import SchedulingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,16 +82,10 @@ class MonotaskQueue:
         self._work_mb += mt.input_size_mb
         rec = _obs.RECORDER
         if rec is not None and self._owner is not None:
-            rec.queue_push(
-                now, self._owner, self.rtype.value, jm.job.job_id, mt.mt_id,
-                len(self._heap),
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None and self._owner is not None:
-            tel.queue_push(
-                now, self._owner, self.rtype.value, jm.job.job_id, mt.mt_id,
-                len(self._heap), self._work_mb,
-            )
+            rec.log.append((
+                _ev.QUEUE_PUSH, now, self._owner, self.rtype.value,
+                jm.job.job_id, mt.mt_id, len(self._heap), self._work_mb,
+            ))
 
     def pop(self) -> Optional[QueueEntry]:
         if not self._heap:
@@ -106,16 +100,11 @@ class MonotaskQueue:
             self._work_mb = 0.0
         rec = _obs.RECORDER
         if rec is not None and self._owner is not None and self._clock is not None:
-            rec.queue_pop(
-                self._clock.now, self._owner, self.rtype.value,
+            rec.log.append((
+                _ev.QUEUE_POP, self._clock.now, self._owner, self.rtype.value,
                 entry.jm.job.job_id, entry.mt.mt_id, len(self._heap),
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None and self._owner is not None and self._clock is not None:
-            tel.queue_pop(
-                self._clock.now, self._owner, self.rtype.value,
-                len(self._heap), self._work_mb,
-            )
+                self._work_mb,
+            ))
         return entry
 
     def peek(self) -> Optional[QueueEntry]:
@@ -147,13 +136,13 @@ class MonotaskQueue:
             # same drain-to-zero pinning as pop()
             self._work_mb = 0.0
         evicted.sort()
-        tel = _tel.TELEMETRY
-        if tel is not None and self._owner is not None and self._clock is not None:
-            tel.queue_evict(
-                self._clock.now, self._owner, self.rtype.value,
+        rec = _obs.RECORDER
+        if rec is not None and self._owner is not None and self._clock is not None:
+            rec.log.append((
+                _ev.QUEUE_EVICT, self._clock.now, self._owner, self.rtype.value,
                 len(self._heap), self._work_mb,
                 [(e.jm.job.job_id, e.mt.mt_id) for e in evicted],
-            )
+            ))
         return evicted
 
     def queued_work_mb(self) -> float:

@@ -31,8 +31,8 @@ from ..dataflow.graph import OpGraph
 from ..dataflow.monotask import Monotask, Task
 from ..execution.job import Job, JobState
 from ..execution.jobmanager import JobManager
+from ..obs import events as _ev
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from ..perf import profile as _profile
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
@@ -183,9 +183,9 @@ class UrsaSystem:
         jm = JobManager(self.sim, self.cluster, job, self)
         self.jms[job.job_id] = jm
         self.active_jobs.add(job.job_id)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_started(self.sim.now, len(self.active_jobs))
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.log.append((_ev.JOB_STARTED, self.sim.now, len(self.active_jobs)))
         jm.start()
 
     # ------------------------------------------------------------------
@@ -203,9 +203,11 @@ class UrsaSystem:
         job = jm.job
         self.active_jobs.discard(job.job_id)
         self.completed_jobs.append(job)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_completed(self.sim.now, job.jct or 0.0, len(self.active_jobs))
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.log.append((
+                _ev.JOB_COMPLETED, self.sim.now, job.jct or 0.0, len(self.active_jobs)
+            ))
         self.admission.release(job)
         self._try_admit()
 
@@ -216,9 +218,9 @@ class UrsaSystem:
         job = jm.job
         self.active_jobs.discard(job.job_id)
         self.failed_jobs.append(job)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_failed(self.sim.now, len(self.active_jobs))
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.log.append((_ev.JOB_FAILED, self.sim.now, len(self.active_jobs)))
         self.admission.release(job)
         self._try_admit()
 
@@ -283,10 +285,7 @@ class UrsaSystem:
             )
         rec = _obs.RECORDER
         if rec is not None:
-            rec.sched_tick(now, len(assignments))
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.sched_tick(now, len(assignments))
+            rec.log.append((_ev.SCHED_TICK, now, len(assignments)))
         if self.active_jobs or self.admission.queue_length:
             self._ensure_tick()
 
@@ -304,10 +303,10 @@ class UrsaSystem:
         for a in assignments:
             if rec is not None:
                 # decision first, effects (queue pushes etc.) after it
-                rec.task_placed(
-                    self.sim.now, a.jm.job.job_id, a.task.task_id, a.worker,
-                    a.score, len(a.task.monotasks),
-                )
+                rec.log.append((
+                    _ev.TASK_PLACED, self.sim.now, a.jm.job.job_id,
+                    a.task.task_id, a.worker, a.score, len(a.task.monotasks),
+                ))
             self.workers[a.worker].add_assigned_task(a.task)
             a.jm.place_task(a.task, a.worker)
 

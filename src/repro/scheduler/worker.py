@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING
 from ..cluster.cluster import Cluster
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask, MonotaskState, Task
+from ..obs import events as _ev
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .ordering import SchedulingPolicy
 from .queues import MonotaskQueue
 
@@ -115,20 +115,13 @@ class Worker:
             ResourceType.NETWORK: _RateMonitor(spec.net_mbps, self.config.rate_window),
             ResourceType.DISK: _RateMonitor(spec.disk_mbps, self.config.rate_window),
         }
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.worker_capacity(index, {
-                "cpu": spec.cores,
-                "network": self.config.network_concurrency,
-                "disk": spec.disks,
-            })
         rec = _obs.RECORDER
         if rec is not None:
-            rec.worker_spec(
-                self.sim.now, index, spec.cores, spec.disks,
+            rec.log.append((
+                _ev.WORKER_SPEC, self.sim.now, index, spec.cores, spec.disks,
                 self.config.network_concurrency, spec.core_rate_mbps,
                 spec.net_mbps, spec.disk_mbps,
-            )
+            ))
 
     # ------------------------------------------------------------------
     # capacity limits (paper §4.2.3 "Concurrency control")
@@ -269,16 +262,10 @@ class Worker:
         instrumentation lives in exactly one place."""
         rec = _obs.RECORDER
         if rec is not None:
-            rec.mt_start(
-                self.sim.now, self.index, mt.rtype.value, jm.job.job_id,
-                mt.mt_id, self.running[mt.rtype], bypass,
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.grant(
-                self.sim.now, self.index, mt.rtype.value, jm.job.job_id,
-                mt.mt_id, bypass,
-            )
+            rec.log.append((
+                _ev.MT_START, self.sim.now, self.index, mt.rtype.value,
+                jm.job.job_id, mt.mt_id, self.running[mt.rtype], bypass,
+            ))
         jm.run_monotask(mt, on_done)
 
     # ------------------------------------------------------------------
@@ -298,13 +285,10 @@ class Worker:
         is accounted (and traced) here."""
         rec = _obs.RECORDER
         if rec is not None:
-            rec.res_release(
-                self.sim.now, self.index, mt.rtype.value, mt.mt_id,
-                self.running[mt.rtype],
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.release(self.sim.now, self.index, mt.rtype.value)
+            rec.log.append((
+                _ev.RES_RELEASE, self.sim.now, self.index, mt.rtype.value,
+                mt.mt_id, self.running[mt.rtype],
+            ))
         self.assigned_work[mt.rtype] = max(
             0.0, self.assigned_work[mt.rtype] - mt.input_size_mb
         )

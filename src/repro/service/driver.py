@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs import telemetry as _tel
+from ..obs import events as _ev
+from ..obs import recorder as _obs
 from ..simcore.rng import derive_rng
 from .arrivals import Arrival, ArrivalProcess
 from .autoscaler import Autoscaler, AutoscalerConfig
@@ -143,6 +144,6 @@ class ServiceDriver:
     def _shed(self, rec: _ArrivalRecord, reason: str, now: float) -> None:
         rec.shed = True
         rec.reason = reason
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_shed(now)
+        obs = _obs.RECORDER
+        if obs is not None:
+            obs.log.append((_ev.JOB_SHED, now))

@@ -21,8 +21,8 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
+from ..obs import events as _ev
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 
 __all__ = ["EventHandle", "Simulation", "SimulationError"]
 
@@ -130,11 +130,6 @@ class Simulation:
         # before building the Simulation)
         rec = _obs.RECORDER
         self._observer = rec.engine_observer if rec is not None else None
-        # telemetry registers the engine for lazy end-of-unit harvesting
-        # (events fired, final clock) — deliberately not a per-event hook
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.attach_engine(self)
 
     # ------------------------------------------------------------------
     # clock
@@ -264,6 +259,11 @@ class Simulation:
                 self._now = until
         finally:
             self._running = False
+            # the clock and event count as the run stops: telemetry's engine
+            # stats, logged once per run instead of once per event
+            rec = _obs.RECORDER
+            if rec is not None:
+                rec.log.append((_ev.ENGINE, self._now, self._fired_count))
         return self._now
 
     def drain(self, max_events: int = 50_000_000) -> float:

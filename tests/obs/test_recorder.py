@@ -111,9 +111,9 @@ def test_events_are_schema_dicts_with_sim_timestamps():
 
 def test_begin_unit_labels_subsequent_events():
     rec = recorder.enable()
-    rec.emit("custom", 0.0)
+    rec.emit(ev.SCHED_TICK, 0.0, assigned=0)
     rec.begin_unit("exp:key1")
-    rec.emit("custom", 1.0)
+    rec.emit(ev.SCHED_TICK, 1.0, assigned=2)
     assert [e["unit"] for e in rec.events] == ["run", "exp:key1"]
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.faults import FaultPlan, GrantTimeout, RetryPolicy, WorkerBlackout, WorkerCrash
 from repro.metrics import compute_metrics
-from repro.obs import telemetry
+from repro.obs import recorder, telemetry
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
@@ -145,6 +145,44 @@ def test_fault_run_conservation_and_fault_metrics():
     assert f["wasted_work_mb"] > 0.0
 
 
+def test_fault_run_telemetry_and_trace_do_not_depend_on_each_other():
+    """One log, two views: under faults, telemetry alone, telemetry
+    attached to an already-enabled recorder, and telemetry enabled before
+    the recorder all fold the same summary, and the trace is the same
+    with telemetry on and off."""
+    kwargs = dict(policy="ejf", faults=FAULT_PLAN, retry=RetryPolicy(max_attempts=4))
+    try:
+        tel_alone = telemetry.enable()
+        _run(**kwargs)
+        telemetry.disable()
+        assert recorder.RECORDER is None  # telemetry removed the log it installed
+
+        rec_with_tel = recorder.enable()
+        tel_after = telemetry.enable()
+        _run(**kwargs)
+        recorder.disable()
+        telemetry.disable()
+
+        tel_before = telemetry.enable()
+        recorder.enable()
+        _run(**kwargs)
+        telemetry.disable()
+        assert recorder.RECORDER is not None  # the trace's recorder stays
+        recorder.disable()
+
+        rec_alone = recorder.enable()
+        _run(**kwargs)
+        recorder.disable()
+    finally:
+        recorder.disable()
+    summary = json.dumps(tel_alone.summary(), sort_keys=True)
+    assert tel_alone.summary()["units"]["run"]["counters"]["aborts"] > 0
+    assert json.dumps(tel_after.summary(), sort_keys=True) == summary
+    assert json.dumps(tel_before.summary(), sort_keys=True) == summary
+    assert rec_with_tel.events == rec_alone.events
+    assert any(e["kind"] == "monotask_lost" for e in rec_alone.events)
+
+
 def test_unit_labels_partition_metrics():
     tel = telemetry.enable()
     tel.begin_unit("a")
@@ -185,9 +223,9 @@ def test_fold_is_idempotent_and_deferred():
     tel = telemetry.enable()
     _run()
     u = tel.units["run"]
-    assert u.log  # aggregation deferred while the unit is hot
+    assert u.counters["grants"] == 0  # aggregation deferred while the unit is hot
     first = json.dumps(telemetry.unit_summary(u), sort_keys=True)
-    assert not u.log  # folded by the summary
+    assert u.counters["grants"] > 0  # folded by the summary
     again = json.dumps(telemetry.unit_summary(u), sort_keys=True)
     telemetry.disable()
     assert first == again
