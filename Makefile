@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-baseline bench-sim oracle-identity profile trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
+.PHONY: test bench bench-smoke bench-baseline oracle-identity profile trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -61,12 +61,6 @@ metrics-baseline:
 bench-baseline:
 	$(PY) scripts/bench_harness.py --scale tiny --out BENCH_harness.json
 
-# Regenerate BENCH_sim.json (single-simulation wall time plus the per-phase
-# tick breakdown; fails unless the timed and profiled runs' metrics are
-# bit-identical).
-bench-sim:
-	$(PY) scripts/bench_sim.py --out BENCH_sim.json
-
 # Oracle-identity gate: the placement engine must reproduce the frozen test
 # oracle (tests/scheduler/oracle.py) bit-for-bit — randomized and
 # repeated-profile property tests with an 8/64/128-worker decision sweep,
@@ -76,8 +70,9 @@ oracle-identity:
 	$(PY) -m pytest tests/scheduler/test_oracle_properties.py tests/scheduler/test_vector_placement.py tests/perf/test_tick_determinism.py -q
 	$(PY) scripts/metrics_diff.py check
 
-# Profile the scheduling-tick hot path on a small experiment and print the
-# per-phase tick counter report.
+# Count the scheduling-tick work (ticks, assignments, tasks scored, workers
+# scanned) on a small experiment and print the counter report; per-layer
+# time comes from `python3 perfbench/run.py --workload W --trace 1`.
 profile:
 	$(PY) -m repro.experiments --profile --only fig7 --scale tiny
 

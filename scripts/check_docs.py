@@ -136,6 +136,7 @@ _FOREIGN_FLAGS = {
     "--legacy", "--no-header", "--cache-clear", "--cov", "--help",
     "--workers", "--events", "--check", "--runs", "--warmup",
     "--benchmark-only", "--format", "--top", "--validate-chrome",
+    "--workload",
 }
 
 

@@ -25,7 +25,7 @@ Commands::
 
     # regenerate the baseline (after an intentional behavior change);
     # --measure-overhead also times observation off vs telemetry-on and
-    # recorder-on via scripts/bench_sim.py's workload and records the overhead
+    # recorder-on on one synthetic workload and records the overhead
     PYTHONPATH=src python scripts/metrics_diff.py write --measure-overhead
 
     # dump the candidate metrics without diffing (CI artifact)
@@ -45,6 +45,7 @@ import contextlib
 import fnmatch
 import io
 import json
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -168,8 +169,33 @@ def collect_candidate(spec: dict = CANONICAL) -> dict:
     return flat
 
 
+def _plain_run(n_jobs: int) -> tuple[bytes, float]:
+    """One full simulation of the overhead workload: ``n_jobs`` synthetic
+    setting-1 Type-1 jobs on the bench cluster, EJF with W=5, seed 1.
+
+    Returns (pickled metrics, wall seconds of ``system.run``).  Whatever
+    observers the caller enabled watch the run; the pickled metrics let the
+    caller check that they are pure observers.
+    """
+    from repro.cluster import Cluster
+    from repro.experiments.common import SCALES, require_done
+    from repro.experiments.fig8_fig9_fig10_synthetic import params_for
+    from repro.metrics import compute_metrics
+    from repro.scheduler import UrsaConfig, UrsaSystem
+    from repro.workloads import submit_workload, synthetic_setting1
+
+    sc = SCALES["bench"]
+    system = UrsaSystem(Cluster(sc.cluster), UrsaConfig(policy="ejf", policy_weight=5.0))
+    submit_workload(system, synthetic_setting1(params_for(sc), n_jobs=n_jobs), seed=1)
+    start = time.perf_counter()
+    system.run(max_events=sc.max_events)
+    elapsed = time.perf_counter() - start
+    require_done(system, "overhead workload")
+    return pickle.dumps(compute_metrics(system)), elapsed
+
+
 def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
-    """Observation-off vs observation-on wall clock on bench_sim's workload.
+    """Observation-off vs observation-on wall clock on one synthetic workload.
 
     Two observed variants run against the same off baseline: telemetry on
     (timed through ``disable()`` and ``summary()``, which fold the log)
@@ -180,20 +206,16 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
     per-pair on/off ratios** — far more robust against load spikes than
     comparing best-of times collected seconds apart.
     """
-    sys.path.insert(0, str(Path(__file__).parent))
-    from bench_sim import _run_once
-
     from repro.obs import recorder as rec_mod
     from repro.obs import telemetry as tel_mod
 
     def run_off():
-        metrics, t, _ = _run_once(n_jobs)
-        return metrics, t
+        return _plain_run(n_jobs)
 
     def run_telemetry():
         tel = tel_mod.enable()
         try:
-            metrics, t, _ = _run_once(n_jobs)
+            metrics, t = _plain_run(n_jobs)
             t0 = time.perf_counter()
         finally:
             tel_mod.disable()
@@ -203,7 +225,7 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
     def run_recorder():
         rec = rec_mod.enable()
         try:
-            metrics, t, _ = _run_once(n_jobs)
+            metrics, t = _plain_run(n_jobs)
         finally:
             rec_mod.disable()
         t0 = time.perf_counter()
@@ -230,7 +252,7 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
         return round((median - 1.0) * 100.0, 1)
 
     return {
-        "workload": f"bench_sim synthetic setting-1, {n_jobs} jobs",
+        "workload": f"synthetic setting-1, {n_jobs} jobs, EJF W=5, bench scale, seed 1",
         "method": "median of per-pair on/off ratios, rotating run order",
         "repeats": repeats,
         "telemetry_off_s": [round(t, 2) for t in times["off"]],
@@ -383,7 +405,7 @@ def main(argv=None) -> int:
     p.add_argument("--baseline", default=DEFAULT_BASELINE)
     p.add_argument("--measure-overhead", action="store_true",
                    help="also time observation off vs telemetry-on and "
-                        "recorder-on (bench_sim workload) and record the "
+                        "recorder-on (synthetic setting-1 workload) and record the "
                         "overheads")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--n-jobs", type=int, default=8)

@@ -12,7 +12,7 @@ Examples::
     python -m repro.experiments --list
     python -m repro.experiments --only table2 --only fig8 --scale tiny
 
-    # profile the scheduling-tick hot path (forces serial execution)
+    # count the scheduling-tick work (forces serial execution)
     python -m repro.experiments --profile --only fig7 --scale tiny
 
     # trace monotask lifecycles; writes traces/trace.jsonl + trace.json
@@ -96,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
     parser.add_argument(
         "--profile", action="store_true",
-        help="profile the scheduling-tick hot path and print per-phase "
-             "counters (forces serial in-process execution)",
+        help="count the scheduling-tick work (ticks, assignments, tasks "
+             "scored, workers scanned) and print the counters (forces "
+             "serial in-process execution)",
     )
     parser.add_argument(
         "--trace", action="store_true",
@@ -191,7 +192,10 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.telemetry_interval <= 0:
         parser.error("--telemetry-interval must be > 0")
+    if args.service_out is not None and only is not None and "fig_service" not in only:
+        parser.error("--service-out requires fig_service among the experiments run")
 
+    # every usage check is above: side effects start here
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     runner = ParallelRunner(workers=workers, cache=cache)
 
@@ -200,8 +204,6 @@ def main(argv: list[str] | None = None) -> int:
     tel = obs_telemetry.enable(args.telemetry_interval) if telemetry_on else None
     if tel is not None and args.dashboard:
         obs_dashboard.attach_live(tel)
-    if args.service_out is not None and only is not None and "fig_service" not in only:
-        parser.error("--service-out requires fig_service among the experiments run")
 
     start = time.perf_counter()
     try:

@@ -1,11 +1,13 @@
-"""Opt-in hot-path profiler for the scheduling tick.
+"""Opt-in work counters for the scheduling tick.
 
 The per-tick scheduling loop (policy refresh → queue resort → ready-stage
-gathering → Algorithm-1 placement → dispatch) dominates single-simulation
-wall time, so this module gives it counters and phase timers that cost
+gathering → Algorithm-1 placement → dispatch) gets counters that cost
 *nothing* when disabled: the scheduler reads one module global
-(:data:`PROFILER`) per tick / placement round and skips every
-instrumentation branch while it is ``None``.
+(:data:`PROFILER`) per tick / placement round and skips every counting
+branch while it is ``None``.  Time is not measured here: the repository
+benchmark (``python3 perfbench/run.py --workload W --trace 1``) times every
+layer, the tick's refresh / resort / place included, from outside the
+program.
 
 Usage::
 
@@ -35,9 +37,6 @@ Counters (cumulative over every tick while enabled):
   ``tasks_scored × workers``.
 * ``pinned_tasks`` — best-worker searches of locality-pinned tasks (one
   candidate each).
-
-Phase timers are wall-clock nanoseconds per tick phase, measured with
-:func:`time.perf_counter_ns`.
 """
 
 from __future__ import annotations
@@ -46,79 +45,26 @@ from typing import Optional
 
 __all__ = ["TickProfiler", "PROFILER", "enable", "disable"]
 
-_PHASES = ("refresh", "resort", "ready", "place", "dispatch")
-
 
 class TickProfiler:
-    """Counters + per-phase timers for the scheduling-tick hot path."""
+    """Work counters for the scheduling-tick hot path."""
 
     __slots__ = (
         "ticks", "assignments", "resort_ticks", "stages_scored",
         "tasks_scored", "workers_scanned", "heap_repushes",
-        "profile_rows", "pinned_tasks", "phase_ns",
+        "profile_rows", "pinned_tasks",
     )
 
     def __init__(self):
-        self.ticks = 0
-        self.assignments = 0
-        self.resort_ticks = 0
-        self.stages_scored = 0
-        self.tasks_scored = 0
-        self.workers_scanned = 0
-        self.heap_repushes = 0
-        self.profile_rows = 0
-        self.pinned_tasks = 0
-        self.phase_ns = {name: 0 for name in _PHASES}
-
-    # ------------------------------------------------------------------
-    def record_tick(
-        self,
-        refresh_ns: int,
-        resort_ns: int,
-        ready_ns: int,
-        place_ns: int,
-        dispatch_ns: int,
-        assignments: int,
-    ) -> None:
-        self.ticks += 1
-        self.assignments += assignments
-        ns = self.phase_ns
-        ns["refresh"] += refresh_ns
-        ns["resort"] += resort_ns
-        ns["ready"] += ready_ns
-        ns["place"] += place_ns
-        ns["dispatch"] += dispatch_ns
-
-    @property
-    def total_ns(self) -> int:
-        return sum(self.phase_ns.values())
-
-    def merge(self, other: "TickProfiler") -> None:
-        """Fold another profiler's numbers into this one."""
         for name in self.__slots__:
-            if name == "phase_ns":
-                for phase, ns in other.phase_ns.items():
-                    self.phase_ns[phase] = self.phase_ns.get(phase, 0) + ns
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
+            setattr(self, name, 0)
 
-    # ------------------------------------------------------------------
     def report(self) -> str:
-        """Human-readable per-phase tick counter report."""
-        lines = [
-            f"scheduling-tick profile: {self.ticks} ticks, "
-            f"{self.assignments} assignments"
-        ]
-        total = self.total_ns or 1
+        """Human-readable tick counter report."""
         ticks = self.ticks or 1
-        lines.append(f"  {'phase':<10} {'total ms':>10} {'per-tick us':>12} {'share':>7}")
-        for name in _PHASES:
-            ns = self.phase_ns[name]
-            lines.append(
-                f"  {name:<10} {ns / 1e6:>10.2f} {ns / ticks / 1e3:>12.1f} "
-                f"{100.0 * ns / total:>6.1f}%"
-            )
-        lines.append(
+        return (
+            f"scheduling-tick profile: {self.ticks} ticks, "
+            f"{self.assignments} assignments\n"
             f"  counters: resort_ticks={self.resort_ticks} "
             f"(elided={self.ticks - self.resort_ticks}), "
             f"stages_scored={self.stages_scored} "
@@ -130,23 +76,6 @@ class TickProfiler:
             f"profile_rows={self.profile_rows}, "
             f"pinned_tasks={self.pinned_tasks}"
         )
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        """Counters as plain data (for JSON baselines / assertions)."""
-        out = {
-            "ticks": self.ticks,
-            "assignments": self.assignments,
-            "resort_ticks": self.resort_ticks,
-            "stages_scored": self.stages_scored,
-            "tasks_scored": self.tasks_scored,
-            "workers_scanned": self.workers_scanned,
-            "heap_repushes": self.heap_repushes,
-            "profile_rows": self.profile_rows,
-            "pinned_tasks": self.pinned_tasks,
-        }
-        out.update({f"{name}_ns": ns for name, ns in self.phase_ns.items()})
-        return out
 
 
 #: The active profiler, or ``None`` when profiling is off.  Hot paths read

@@ -23,7 +23,6 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster.cluster import Cluster
@@ -251,38 +250,20 @@ class UrsaSystem:
         :mod:`repro.scheduler.placement` for the per-term computation."""
         self._tick_scheduled = False
         now = self.sim.now
+        self._refresh_policies(now)
+        if self._resort_each_tick:
+            for w in self.workers:
+                w.resort_queues()
+        assignments = self.placement.place(
+            self._ready_stages(), self.workers, now, self._admission_policy
+        )
+        self._dispatch(assignments)
         prof = _profile.PROFILER
-        if prof is None:
-            self._refresh_policies(now)
+        if prof is not None:
+            prof.ticks += 1
+            prof.assignments += len(assignments)
             if self._resort_each_tick:
-                for w in self.workers:
-                    w.resort_queues()
-            assignments = self.placement.place(
-                self._ready_stages(), self.workers, now, self._admission_policy
-            )
-            self._dispatch(assignments)
-        else:
-            # instrumented twin of the fast path above: same steps, with a
-            # perf_counter_ns fence between the tick phases
-            t0 = perf_counter_ns()
-            self._refresh_policies(now)
-            t1 = perf_counter_ns()
-            if self._resort_each_tick:
-                for w in self.workers:
-                    w.resort_queues()
                 prof.resort_ticks += 1
-            t2 = perf_counter_ns()
-            ready = self._ready_stages()
-            t3 = perf_counter_ns()
-            assignments = self.placement.place(
-                ready, self.workers, now, self._admission_policy
-            )
-            t4 = perf_counter_ns()
-            self._dispatch(assignments)
-            t5 = perf_counter_ns()
-            prof.record_tick(
-                t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, len(assignments)
-            )
         rec = _obs.RECORDER
         if rec is not None:
             rec.log.append((_ev.SCHED_TICK, now, len(assignments)))

@@ -142,3 +142,23 @@ def test_cli_runs_single_experiment(capsys):
     captured = capsys.readouterr()
     assert "Figure 8" in captured.out
     assert "suite completed" in captured.err
+
+
+def test_cli_usage_error_leaves_no_observer_installed(tmp_path, capsys):
+    """A usage error exits before any profiler, recorder or telemetry
+    collector is installed, so nothing leaks into the next run."""
+    from repro.experiments.__main__ import main
+    from repro.obs import recorder, telemetry
+    from repro.perf import profile
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--trace-out", str(tmp_path / "tr"), "--profile",
+              "--telemetry-out", str(tmp_path / "tel"),
+              "--service-out", str(tmp_path / "svc"),
+              "--only", "table2", "--scale", "tiny"])
+    assert exc.value.code == 2
+    assert "--service-out requires fig_service" in capsys.readouterr().err
+    assert profile.PROFILER is None
+    assert recorder.RECORDER is None
+    assert telemetry.TELEMETRY is None
+    assert not any(tmp_path.iterdir())

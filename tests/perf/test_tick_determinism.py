@@ -107,6 +107,5 @@ def test_profiled_run_is_identical_and_populates_counters():
     assert prof.assignments > 0
     assert prof.stages_scored > 0
     assert prof.tasks_scored >= prof.assignments
-    assert prof.phase_ns["place"] > 0
     # EJF ranks are static: the per-tick queue resort must be elided
     assert prof.resort_ticks == 0

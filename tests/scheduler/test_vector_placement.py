@@ -137,7 +137,7 @@ def test_ursa_config_selects_vector_engine():
         UrsaConfig(placement_mode="vector")
 
 
-def test_vector_profiler_counters_populate():
+def test_profiler_counters_populate():
     """A profiled round reports the rows its repeated profiles built and
     the locality-pinned searches it ran."""
     from repro.cluster import Cluster, ClusterSpec
@@ -157,6 +157,3 @@ def test_vector_profiler_counters_populate():
     assert prof.profile_rows > 0
     assert prof.pinned_tasks >= 2  # the two locality-pinned tasks
     assert prof.workers_scanned < prof.tasks_scored * len(workers)
-    d = prof.as_dict()
-    assert {"profile_rows", "pinned_tasks"} <= set(d)
-    assert not any(k.startswith("vector_") for k in d)
