@@ -12,6 +12,14 @@ from .spec import ClusterSpec
 
 __all__ = ["Cluster"]
 
+#: trace kind -> the MachineSpec field that is its per-machine capacity
+#: (None: the fabric records net_used in downlink-fraction units)
+_CAPACITY = {
+    "cpu_used": "cores", "cpu_alloc": "cores",
+    "mem_used": "memory_mb", "mem_alloc": "memory_mb",
+    "disk_used": "disks", "net_used": None,
+}
+
 
 class Cluster:
     """All simulated hardware for one experiment run.
@@ -59,7 +67,15 @@ class Cluster:
     # ------------------------------------------------------------------
     def series_names(self, kind: str) -> list[str]:
         """Trace names for ``kind`` across machines (e.g. 'cpu_used')."""
+        if kind not in _CAPACITY:
+            raise ValueError(
+                f"unknown trace kind {kind!r}; known kinds: {', '.join(_CAPACITY)}"
+            )
         return [f"m{i}.{kind}" for i in range(self.num_machines)]
+
+    def _capacity(self, kind: str) -> float:
+        attr = _CAPACITY[kind]
+        return getattr(self.spec.machine, attr) if attr else 1.0
 
     def mean_utilization(self, kind: str, t0: float, t1: float) -> float:
         """Cluster-average fraction of capacity used for a resource kind.
@@ -68,47 +84,24 @@ class Cluster:
         net_used; the value is normalized by the per-machine capacity so the
         result is in [0, 1] (CPU alloc may exceed 1 under over-subscription).
         """
-        caps = {
-            "cpu_used": self.spec.machine.cores,
-            "cpu_alloc": self.spec.machine.cores,
-            "mem_used": self.spec.machine.memory_mb,
-            "mem_alloc": self.spec.machine.memory_mb,
-            "disk_used": self.spec.machine.disks,
-            "net_used": 1.0,  # fabric traces record downlink-fraction units
-        }
-        cap = caps[kind]
-        vals = [
-            self.traces[name].mean(t0, t1) / cap for name in self.series_names(kind)
-        ]
+        vals = self.per_machine_utilization(kind, t0, t1)
         return sum(vals) / len(vals)
 
     def per_machine_utilization(self, kind: str, t0: float, t1: float) -> list[float]:
-        caps = {
-            "cpu_used": self.spec.machine.cores,
-            "cpu_alloc": self.spec.machine.cores,
-            "mem_used": self.spec.machine.memory_mb,
-            "mem_alloc": self.spec.machine.memory_mb,
-            "disk_used": self.spec.machine.disks,
-            "net_used": 1.0,
-        }
-        cap = caps[kind]
-        return [self.traces[name].mean(t0, t1) / cap for name in self.series_names(kind)]
+        names = self.series_names(kind)
+        cap = self._capacity(kind)
+        return [self.traces[name].mean(t0, t1) / cap for name in names]
 
     def utilization_timeseries(
         self, kind: str, t0: float, t1: float, dt: float = 1.0
     ) -> tuple[list[float], list[float]]:
         """Cluster-average utilization in [0,100] % resampled to ``dt`` bins —
         the series the paper's utilization figures plot."""
-        caps = {
-            "cpu_used": self.spec.machine.cores,
-            "mem_used": self.spec.machine.memory_mb,
-            "disk_used": self.spec.machine.disks,
-            "net_used": 1.0,
-        }
-        cap = caps[kind]
+        names = self.series_names(kind)
+        cap = self._capacity(kind)
         grid: list[float] = []
         acc: list[float] = []
-        for i, name in enumerate(self.series_names(kind)):
+        for i, name in enumerate(names):
             g, vals = self.traces[name].resample(t0, t1, dt)
             if i == 0:
                 grid = g

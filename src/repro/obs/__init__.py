@@ -17,7 +17,7 @@ Public surface:
   exact busy-time integrals and streaming histograms folded from the log
   (``from repro.obs import telemetry``; ``telemetry.enable()`` attaches to
   the installed recorder or installs one).
-* :mod:`repro.obs.timeseries` — the series primitives telemetry builds on.
+* :mod:`repro.obs.timeseries` — the streaming histograms telemetry builds on.
 * :mod:`repro.obs.promexport` — Prometheus/OpenMetrics text exposition of
   a telemetry collector, plus a line-format validator.
 * :mod:`repro.obs.dashboard` — ASCII dashboard panels over telemetry.

@@ -129,11 +129,13 @@ def _flow_events(te: list[dict], pids: dict[str, int],
                 })
 
 
-def chrome_trace(events: Iterable[dict], engine_stats: dict | None = None,
+def chrome_trace(events: Iterable[dict], engine: dict | None = None,
                  attribution: dict | None = None) -> dict:
     """Convert an event stream into a Chrome Trace Format document.
 
-    ``attribution`` (a :func:`repro.obs.attribution.attribute` result)
+    ``engine`` (unit -> (events fired, final clock), as
+    :meth:`~repro.obs.recorder.TraceRecorder.engine_ends` returns it) goes
+    to ``otherData.engine``.  ``attribution`` (a :func:`repro.obs.attribution.attribute` result)
     additionally emits critical-path flow arrows between monotask slices.
     """
     te: list[dict] = []
@@ -228,23 +230,23 @@ def chrome_trace(events: Iterable[dict], engine_stats: dict | None = None,
     if attribution is not None:
         _flow_events(te, pids, attribution)
     doc = {"traceEvents": te, "displayTimeUnit": "ms"}
-    if engine_stats:
+    if engine:
         doc["otherData"] = {
             "engine": {
-                unit: {"events_fired": s[0], "sim_end": s[1]}
-                for unit, s in engine_stats.items()
+                unit: {"events_fired": fired, "sim_end": end}
+                for unit, (fired, end) in engine.items()
             }
         }
     return doc
 
 
 def write_chrome_trace(events: Iterable[dict], path,
-                       engine_stats: dict | None = None,
+                       engine: dict | None = None,
                        attribution: dict | None = None) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        json.dumps(chrome_trace(events, engine_stats, attribution),
+        json.dumps(chrome_trace(events, engine, attribution),
                    default=_json_default) + "\n"
     )
     return path
@@ -263,7 +265,7 @@ def write_trace_files(recorder, out_dir,
     return {
         "jsonl": write_jsonl(recorder.events, out_dir / "trace.jsonl"),
         "chrome": write_chrome_trace(
-            recorder.events, out_dir / "trace.json", recorder.engine_stats,
+            recorder.events, out_dir / "trace.json", recorder.engine_ends(),
             attribution,
         ),
     }

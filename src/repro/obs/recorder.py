@@ -21,10 +21,11 @@ Usage::
 
 or via the CLI: ``python -m repro.experiments --trace --only table2
 --scale tiny`` (pool workers record locally and the parent splices their
-traces in unit order).
+log segments in unit order).
 
-Enable the recorder *before* building the :class:`~repro.simcore.engine.\
-Simulation`: the engine binds its observer hook at construction.
+Enable the recorder *before* building the simulated cluster: workers log
+their capacities at construction, and the engine logs its event count
+and clock each time a run stops.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class TraceRecorder:
         self.log: list[tuple] = []
         #: (unit label, log) per begin_unit, in order
         self.segments: list[tuple[str, list]] = [(self.unit, self.log)]
-        #: per-unit engine counters fed by the Simulation observer hook:
-        #: unit -> [events_fired, last_sim_time]
-        self.engine_stats: dict[str, list] = {}
         #: telemetry collectors folding this log (they follow begin_unit)
         self.sinks: list = []
         self._events: list[dict] = []
@@ -85,11 +83,21 @@ class TraceRecorder:
             raise TypeError(f"{kind}: unknown fields {sorted(fields)}")
         self.log.append(tuple(entry))
 
+    def splice(self, segments) -> None:
+        """Append another recorder's ``(unit, log)`` segments — a pool
+        worker's — after this log's.  The current unit continues in a fresh
+        segment, so its later entries stay after the spliced ones in every
+        view."""
+        self.segments.extend(segments)
+        self.log = []
+        self.segments.append((self.unit, self.log))
+        for sink in self.sinks:
+            sink.follow(self.unit, self.log)
+
     @property
     def events(self) -> list[dict]:
         """The lifecycle trace: one schema dict per trace-kind entry, in log
-        order.  Materialized incrementally; the returned list is the cache
-        (the parallel runner extends it with pool workers' traces)."""
+        order.  Materialized incrementally; the returned list is the cache."""
         out = self._events
         seg, pos = self._viewed
         segments = self.segments
@@ -115,15 +123,17 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def engine_observer(self, handle) -> None:
-        """Counts fired simulation events per unit (bound by
-        ``Simulation.__init__``; trace metadata, not a log entry — one per
-        engine event would dwarf the lifecycle log)."""
-        stats = self.engine_stats.get(self.unit)
-        if stats is None:
-            stats = self.engine_stats[self.unit] = [0, 0.0]
-        stats[0] += 1
-        stats[1] = handle.time
+    def engine_ends(self) -> dict[str, tuple[int, float]]:
+        """unit -> (events fired, final clock) from each unit's last
+        ``engine`` entry — the values telemetry reports as
+        ``engine_events`` / ``sim_end``."""
+        out: dict[str, tuple[int, float]] = {}
+        for unit, log in self.segments:
+            for entry in reversed(log):
+                if entry[0] == _ev.ENGINE:
+                    out[unit] = (entry[2], entry[1])
+                    break
+        return out
 
 
 #: The active recorder, or ``None`` when observation is off.  Hook sites

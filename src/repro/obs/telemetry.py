@@ -33,8 +33,10 @@ run stops (not once per event).
 
 Series semantics: signals (active monotasks, queue depth, queued MB,
 admission-queue length, running jobs) are piecewise-constant between log
-entries; :class:`~repro.obs.timeseries.StepAccumulator` folds each segment
-into fixed-``interval`` bins, so ``series[k]`` is the exact time-weighted
+entries, so each is a :class:`~repro.simcore.tracing.StepSeries` — the
+same step-signal type the cluster's SE/UE ledgers use.  Means and busy
+times are its exact integrals over ``[0, end]``, and ``series[k]`` is
+:meth:`~repro.simcore.tracing.StepSeries.resample`'s exact time-weighted
 mean over ``[k·interval, (k+1)·interval)``.  Cluster utilization divides
 the summed per-worker active counts by the summed concurrency limits —
 note the network bypass lane (small transfers) runs *outside* the slot
@@ -48,7 +50,8 @@ from typing import Optional
 
 from . import events as _ev
 from . import recorder as _rec
-from .timeseries import LATENCY_BOUNDS, StepAccumulator, StreamingHistogram
+from ..simcore.tracing import StepSeries
+from .timeseries import LATENCY_BOUNDS, StreamingHistogram
 
 __all__ = ["TelemetryCollector", "UnitTelemetry", "TELEMETRY", "enable", "disable",
            "unit_summary", "RTYPES", "JCT_BOUNDS"]
@@ -91,12 +94,12 @@ class UnitTelemetry:
         self.counters["wasted_work_mb"] = 0.0
         #: (worker, rtype) -> concurrency limit, from the worker_spec entries
         self.capacity: dict[tuple[int, str], int] = {}
-        #: (worker, rtype) -> active-monotask StepAccumulator
-        self.busy: dict[tuple[int, str], StepAccumulator] = {}
-        #: (worker, rtype) -> (queue depth, queued MB) accumulators
-        self.queue: dict[tuple[int, str], tuple[StepAccumulator, StepAccumulator]] = {}
-        self.admission_q = StepAccumulator(interval)
-        self.running_jobs = StepAccumulator(interval)
+        #: (worker, rtype) -> active-monotask count
+        self.busy: dict[tuple[int, str], StepSeries] = {}
+        #: (worker, rtype) -> (queue depth, queued MB)
+        self.queue: dict[tuple[int, str], tuple[StepSeries, StepSeries]] = {}
+        self.admission_q = StepSeries()
+        self.running_jobs = StepSeries()
         self.alloc_hist = {r: StreamingHistogram(LATENCY_BOUNDS) for r in RTYPES}
         self.admission_wait_hist = StreamingHistogram(JCT_BOUNDS)
         self.jct_hist = StreamingHistogram(JCT_BOUNDS)
@@ -140,14 +143,14 @@ class UnitTelemetry:
                 pushes += 1
                 pending[(job, mt)] = t
                 depth, mb = queue_acc(worker, rtype)
-                depth.set(t, qlen)
-                mb.set(t, work_mb)
+                depth.record(t, qlen)
+                mb.record(t, work_mb)
             elif kind == _ev.QUEUE_POP:
                 _, t, worker, rtype, _, _, qlen, work_mb = e
                 pops += 1
                 depth, mb = queue_acc(worker, rtype)
-                depth.set(t, qlen)
-                mb.set(t, work_mb)
+                depth.record(t, qlen)
+                mb.record(t, work_mb)
             elif kind == _ev.MT_START:
                 _, t, worker, rtype, job, mt, _, byp = e
                 grants += 1
@@ -157,10 +160,10 @@ class UnitTelemetry:
                 else:
                     lat = t - pending.pop((job, mt), t)
                 self.alloc_hist[rtype].observe(lat)
-                busy_acc(worker, rtype).delta(t, 1.0)
+                busy_acc(worker, rtype).add(t, 1.0)
             elif kind == _ev.RES_RELEASE:
                 releases += 1
-                busy_acc(e[2], e[3]).delta(e[1], -1.0)
+                busy_acc(e[2], e[3]).add(e[1], -1.0)
             elif kind == _ev.SCHED_TICK:
                 ticks += 1
                 assigned += e[2]
@@ -176,22 +179,22 @@ class UnitTelemetry:
                     queue_acc(worker, rtype)
             elif kind == _ev.JOB_SUBMIT:
                 c["jobs_submitted"] += 1
-                self.admission_q.set(e[1], e[5])
+                self.admission_q.record(e[1], e[5])
             elif kind == _ev.JOB_ADMIT:
                 c["jobs_admitted"] += 1
                 self.admission_wait_hist.observe(e[3])
             elif kind == _ev.ADMISSION_QUEUE:
-                self.admission_q.set(e[1], e[2])
+                self.admission_q.record(e[1], e[2])
             elif kind == _ev.JOB_STARTED:
                 c["jobs_started"] += 1
-                self.running_jobs.set(e[1], e[2])
+                self.running_jobs.record(e[1], e[2])
             elif kind == _ev.JOB_COMPLETED:
                 c["jobs_completed"] += 1
                 self.jct_hist.observe(e[2])
-                self.running_jobs.set(e[1], e[3])
+                self.running_jobs.record(e[1], e[3])
             elif kind == _ev.JOB_FAILED:
                 c["jobs_failed"] += 1
-                self.running_jobs.set(e[1], e[2])
+                self.running_jobs.record(e[1], e[2])
             elif kind == _ev.JOB_FINISH:
                 # a waiting job doomed by a permanent capacity loss never
                 # held a reservation: the running-jobs gauge is untouched
@@ -212,7 +215,7 @@ class UnitTelemetry:
                     # a granted monotask torn down by the fault layer: its
                     # release entry will never come
                     c["aborts"] += 1
-                    busy_acc(e[2], e[3]).delta(e[1], -1.0)
+                    busy_acc(e[2], e[3]).add(e[1], -1.0)
             elif kind == _ev.RETRY:
                 c["retries"] += 1
             elif kind == _ev.QUEUE_EVICT:
@@ -221,8 +224,8 @@ class UnitTelemetry:
                 for key in keys:
                     pending.pop(key, None)
                 depth, mb = queue_acc(worker, rtype)
-                depth.set(t, qlen)
-                mb.set(t, work_mb)
+                depth.record(t, qlen)
+                mb.record(t, work_mb)
             elif kind == _ev.WASTED_WORK:
                 c["wasted_work_mb"] += e[2]
             elif kind == _ev.FAULT_RECOVERY:
@@ -240,38 +243,28 @@ class UnitTelemetry:
         c["sched_ticks"] += ticks
         c["tasks_assigned"] += assigned
 
-    # -- lazy accumulator accessors (worker_spec entries usually seed
-    # -- them eagerly; baselines that bypass Worker still get tracked)
-    def busy_acc(self, worker: int, rtype: str) -> StepAccumulator:
-        acc = self.busy.get((worker, rtype))
-        if acc is None:
-            acc = self.busy[(worker, rtype)] = StepAccumulator(self.interval)
-        return acc
+    # -- lazy series accessors (worker_spec entries usually seed them
+    # -- eagerly; baselines that bypass Worker still get tracked)
+    def busy_acc(self, worker: int, rtype: str) -> StepSeries:
+        s = self.busy.get((worker, rtype))
+        if s is None:
+            s = self.busy[(worker, rtype)] = StepSeries()
+        return s
 
-    def queue_acc(self, worker: int, rtype: str) -> tuple[StepAccumulator, StepAccumulator]:
-        acc = self.queue.get((worker, rtype))
-        if acc is None:
-            acc = self.queue[(worker, rtype)] = (
-                StepAccumulator(self.interval), StepAccumulator(self.interval)
-            )
-        return acc
+    def queue_acc(self, worker: int, rtype: str) -> tuple[StepSeries, StepSeries]:
+        pair = self.queue.get((worker, rtype))
+        if pair is None:
+            pair = self.queue[(worker, rtype)] = (StepSeries(), StepSeries())
+        return pair
 
     def end_time(self) -> float:
-        """The horizon all series are flushed to: the engine's final clock,
-        falling back to the latest log entry when no engine was logged."""
+        """The horizon every series is read to: the engine's final clock,
+        or the latest change of any series if that is later (or no engine
+        was logged)."""
         self.fold()
-        end = self.sim_end
-        for acc in self.busy.values():
-            if acc.last_t > end:
-                end = acc.last_t
-        for depth, _ in self.queue.values():
-            if depth.last_t > end:
-                end = depth.last_t
-        if self.admission_q.last_t > end:
-            end = self.admission_q.last_t
-        if self.running_jobs.last_t > end:
-            end = self.running_jobs.last_t
-        return end
+        gauges = [*self.busy.values(), *(d for d, _ in self.queue.values()),
+                  self.admission_q, self.running_jobs]
+        return max(self.sim_end, *(s.times[-1] for s in gauges))
 
 
 class TelemetryCollector:
@@ -371,6 +364,12 @@ def unit_summary(u: UnitTelemetry) -> dict:
     """JSON-ready snapshot of one unit (shared by summary() and the
     dashboard's per-unit panels)."""
     end = u.end_time()
+
+    def series(s: StepSeries) -> list[float]:
+        return s.resample(0.0, end, u.interval)[1]
+
+    #: (worker, rtype) -> (∫active·dt, busy seconds) over [0, end]
+    busy = {key: (s.integral(0.0, end), s.busy(0.0, end)) for key, s in u.busy.items()}
     rt_util = {}
     for rtype in RTYPES:
         workers = sorted(w for (w, r) in u.busy if r == rtype)
@@ -380,12 +379,12 @@ def unit_summary(u: UnitTelemetry) -> dict:
         peak = 0.0
         per_series = []
         for w in workers:
-            acc = u.busy[(w, rtype)]
-            per_series.append(acc.series(end))
-            integral += acc.integral
-            busy_s += acc.busy_seconds
-            if acc.peak > peak:
-                peak = acc.peak
+            s = u.busy[(w, rtype)]
+            per_series.append(series(s))
+            integral += busy[(w, rtype)][0]
+            busy_s += busy[(w, rtype)][1]
+            if s.peak > peak:
+                peak = s.peak
         summed = _sum_series(per_series)
         rt_util[rtype] = {
             "capacity": cap,
@@ -398,12 +397,12 @@ def unit_summary(u: UnitTelemetry) -> dict:
 
     workers_out: dict[str, dict] = {}
     for (w, rtype) in sorted(u.busy):
-        acc = u.busy[(w, rtype)]
+        integral, busy_s = busy[(w, rtype)]
         workers_out.setdefault(str(w), {})[rtype] = {
             "capacity": u.capacity.get((w, rtype), 0),
-            "busy_seconds": acc.busy_seconds,
-            "mean_active": acc.integral / end if end > 0 else 0.0,
-            "peak_active": acc.peak,
+            "busy_seconds": busy_s,
+            "mean_active": integral / end if end > 0 else 0.0,
+            "peak_active": u.busy[(w, rtype)].peak,
         }
 
     queues = {}
@@ -412,15 +411,13 @@ def unit_summary(u: UnitTelemetry) -> dict:
         pairs = [u.queue[(w, rtype)] for w in workers]
         depth = [d for d, _ in pairs]
         mb = [m for _, m in pairs]
-        depth_series = _sum_series([a.series(end) for a in depth])
-        mb_series = _sum_series([a.series(end) for a in mb])
         queues[rtype] = {
-            "depth_mean": sum(a.integral for a in depth) / end if end > 0 else 0.0,
-            "depth_worker_peak": max((a.peak for a in depth), default=0.0),
-            "depth_series": depth_series,
-            "mb_mean": sum(a.integral for a in mb) / end if end > 0 else 0.0,
-            "mb_worker_peak": max((a.peak for a in mb), default=0.0),
-            "mb_series": mb_series,
+            "depth_mean": sum(s.integral(0.0, end) for s in depth) / end if end > 0 else 0.0,
+            "depth_worker_peak": max((s.peak for s in depth), default=0.0),
+            "depth_series": _sum_series([series(s) for s in depth]),
+            "mb_mean": sum(s.integral(0.0, end) for s in mb) / end if end > 0 else 0.0,
+            "mb_worker_peak": max((s.peak for s in mb), default=0.0),
+            "mb_series": _sum_series([series(s) for s in mb]),
         }
 
     rep, rec_ = u.repair_times, u.recovery_times
@@ -431,8 +428,10 @@ def unit_summary(u: UnitTelemetry) -> dict:
         "utilization": rt_util,
         "workers": workers_out,
         "queues": queues,
-        "admission_queue": _gauge_summary(u.admission_q, end),
-        "running_jobs": _gauge_summary(u.running_jobs, end),
+        "admission_queue": {"mean": u.admission_q.mean(0.0, end),
+                            "peak": u.admission_q.peak, "series": series(u.admission_q)},
+        "running_jobs": {"mean": u.running_jobs.mean(0.0, end),
+                         "peak": u.running_jobs.peak, "series": series(u.running_jobs)},
         "alloc_latency": {r: u.alloc_hist[r].as_dict() for r in RTYPES},
         "admission_wait": u.admission_wait_hist.as_dict(),
         "jct": u.jct_hist.as_dict(),
@@ -445,15 +444,6 @@ def unit_summary(u: UnitTelemetry) -> dict:
             "recovery_max_s": max(rec_) if rec_ else 0.0,
             "wasted_work_mb": u.counters["wasted_work_mb"],
         },
-    }
-
-
-def _gauge_summary(acc: StepAccumulator, end: float) -> dict:
-    series = acc.series(end)
-    return {
-        "mean": acc.integral / end if end > 0 else 0.0,
-        "peak": acc.peak,
-        "series": series,
     }
 
 

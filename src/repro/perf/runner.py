@@ -107,9 +107,9 @@ def _execute_unit_pooled(experiment: str, key, seed: int, kwargs: dict):
     """Worker-side unit entry: initializer-shared scale + compute timing.
 
     Returns ``(payload, compute_s, trace)`` where ``trace`` is ``None``
-    untraced, else ``(events, engine_stats)`` recorded by a per-unit local
-    recorder.  The parent splices traces back in submission order, so the
-    merged stream is byte-identical to a serial traced run.
+    untraced, else the ``(unit, log)`` segments of a per-unit local
+    recorder.  The parent splices them back in submission order, so the
+    merged log is the one a serial traced run records.
     """
     t0 = time.perf_counter()
     if _POOL_TRACING:
@@ -119,7 +119,7 @@ def _execute_unit_pooled(experiment: str, key, seed: int, kwargs: dict):
             payload = _execute_unit(experiment, _POOL_SCALE, key, seed, kwargs)
         finally:
             _obs.disable()
-        return payload, time.perf_counter() - t0, (rec.events, rec.engine_stats)
+        return payload, time.perf_counter() - t0, [s for s in rec.segments if s[1]]
     payload = _execute_unit(experiment, _POOL_SCALE, key, seed, kwargs)
     return payload, time.perf_counter() - t0, None
 
@@ -302,7 +302,7 @@ class ParallelRunner:
             for spec in to_run
         }
         pending = set(futures)
-        traces: dict[int, tuple] = {}
+        traces: dict[int, list] = {}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
@@ -316,15 +316,11 @@ class ParallelRunner:
                 self.executed_units += 1
         rec = _obs.RECORDER
         if rec is not None and traces:
-            # splice worker-recorded events in *submission* order, not
-            # completion order, so the merged stream (and everything derived
-            # from it: attribution.json, trace files, digests) is
-            # byte-identical to the serial traced run
-            for spec in to_run:
-                trace = traces.get(id(spec))
-                if trace is not None:
-                    rec.events.extend(trace[0])
-                    rec.engine_stats.update(trace[1])
+            # splice worker-recorded segments in *submission* order, not
+            # completion order, so the merged log (and everything derived
+            # from it: attribution.json, trace files, digests) is the one
+            # the serial traced run records
+            rec.splice(s for spec in to_run for s in traces.get(id(spec), ()))
         return payloads
 
     def _run_and_store(self, sc, spec: _UnitSpec) -> Any:

@@ -125,11 +125,6 @@ class Simulation:
         # compacted once lazily-cancelled entries dominate it
         self._pending_count = 0
         self._cancelled_in_heap = 0
-        # observability hook, bound once at construction so the step loop
-        # pays a single None check when tracing is off (enable the recorder
-        # before building the Simulation)
-        rec = _obs.RECORDER
-        self._observer = rec.engine_observer if rec is not None else None
 
     # ------------------------------------------------------------------
     # clock
@@ -219,8 +214,6 @@ class Simulation:
             ev._fired = True
             self._pending_count -= 1
             self._fired_count += 1
-            if self._observer is not None:
-                self._observer(ev)
             ev.callback(*ev.args)
             return True
         return False
@@ -259,8 +252,9 @@ class Simulation:
                 self._now = until
         finally:
             self._running = False
-            # the clock and event count as the run stops: telemetry's engine
-            # stats, logged once per run instead of once per event
+            # the clock and event count as the run stops, logged once per
+            # run (not per event): telemetry and the trace export both read
+            # each unit's last such entry
             rec = _obs.RECORDER
             if rec is not None:
                 rec.log.append((_ev.ENGINE, self._now, self._fired_count))

@@ -2,16 +2,17 @@
 
 Resource monitors record piecewise-constant signals: "3 cores busy from
 t=2.0", "1 core busy from t=7.5", ...  This module stores those signals
-compactly and supports the two queries the metrics layer needs:
+compactly and supports the queries the metrics and telemetry layers need:
 
-* the exact time integral (for SE/UE accounting), and
-* resampling onto a regular grid (for the utilization figures).
+* the exact time integral (for SE/UE accounting and telemetry means),
+* the busy time ``∫[value>0]dt`` and the running peak (telemetry), and
+* resampling onto a regular grid (the utilization figures and the
+  telemetry series).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
 
 __all__ = ["StepSeries", "TraceSet"]
 
@@ -19,28 +20,33 @@ __all__ = ["StepSeries", "TraceSet"]
 class StepSeries:
     """A piecewise-constant series ``value(t)``; right-continuous steps."""
 
-    __slots__ = ("times", "values", "_last")
+    __slots__ = ("times", "values", "_last", "peak")
 
     def __init__(self, initial: float = 0.0):
         self.times: list[float] = [0.0]
         self.values: list[float] = [float(initial)]
         self._last = float(initial)
+        #: the largest value ever recorded, as given (an int stays an int),
+        #: including same-instant values a later record overwrote
+        self.peak = self._last
 
     def record(self, time: float, value: float) -> None:
         """Set the series value from ``time`` onward."""
-        value = float(value)
-        if value == self._last:
+        v = float(value)
+        if v == self._last:
             return
         last_t = self.times[-1]
         if time < last_t:
             raise ValueError(f"trace time going backwards: {time} < {last_t}")
         if time == last_t:
             # overwrite a same-instant change; keep the latest value
-            self.values[-1] = value
+            self.values[-1] = v
         else:
             self.times.append(float(time))
-            self.values.append(value)
-        self._last = value
+            self.values.append(v)
+        self._last = v
+        if value > self.peak:
+            self.peak = value
 
     def add(self, time: float, delta: float) -> None:
         """Record ``current + delta`` at ``time`` (counter-style usage)."""
@@ -61,22 +67,13 @@ class StepSeries:
         """Exact integral of the series over ``[t0, t1]``."""
         if t1 is None:
             t1 = self.times[-1]
-        if t1 <= t0:
-            return 0.0
-        total = 0.0
-        times, values = self.times, self.values
-        n = len(times)
-        i = max(0, bisect_right(times, t0) - 1)
-        while i < n:
-            seg_start = max(times[i], t0)
-            seg_end = times[i + 1] if i + 1 < n else t1
-            seg_end = min(seg_end, t1)
-            if seg_end > seg_start:
-                total += values[i] * (seg_end - seg_start)
-            if seg_end >= t1:
-                break
-            i += 1
-        return total
+        return self._sweep((t0, t1))[0]
+
+    def busy(self, t0: float = 0.0, t1: float | None = None) -> float:
+        """Time the series is positive over ``[t0, t1]``: ``∫[value>0]dt``."""
+        if t1 is None:
+            t1 = self.times[-1]
+        return self._sweep((t0, t1), busy=True)[0]
 
     def mean(self, t0: float = 0.0, t1: float | None = None) -> float:
         """Time-average over ``[t0, t1]``; 0 for an empty window."""
@@ -92,19 +89,44 @@ class StepSeries:
 
         Returns (window start times, window averages) covering [t0, t1).
         This is how the utilization figures are produced (1 s windows, like
-        the sar-style sampling the paper plots).
+        the sar-style sampling the paper plots), and the telemetry series.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
         grid: list[float] = []
-        avgs: list[float] = []
         t = t0
         while t < t1 - 1e-12:
-            end = min(t + dt, t1)
             grid.append(t)
-            avgs.append(self.integral(t, end) / (end - t))
             t += dt
-        return grid, avgs
+        if not grid:
+            return [], []
+        edges = grid + [min(t, t1)]
+        sums = self._sweep(edges)
+        return grid, [v / (end - start) for v, start, end in zip(sums, edges, edges[1:])]
+
+    def _sweep(self, edges, busy: bool = False) -> list[float]:
+        """Exact integral over each window ``[edges[k], edges[k+1]]`` in
+        one pass over the steps (of ``[value>0]`` when ``busy``); an empty
+        or inverted window integrates to 0."""
+        times, values = self.times, self.values
+        n = len(times)
+        i = max(0, bisect_right(times, edges[0]) - 1)
+        out = []
+        for t0, t1 in zip(edges, edges[1:]):
+            total = 0.0
+            while True:
+                seg_start = times[i] if times[i] > t0 else t0
+                seg_end = times[i + 1] if i + 1 < n and times[i + 1] < t1 else t1
+                if seg_end > seg_start:
+                    if not busy:
+                        total += values[i] * (seg_end - seg_start)
+                    elif values[i] > 0:
+                        total += seg_end - seg_start
+                if seg_end >= t1:
+                    break
+                i += 1
+            out.append(total)
+        return out
 
     def __len__(self) -> int:
         return len(self.times)
@@ -131,20 +153,3 @@ class TraceSet:
 
     def __getitem__(self, name: str) -> StepSeries:
         return self._series[name]
-
-    def aggregate(self, names: Iterable[str]) -> StepSeries:
-        """Sum several step series into a new one (e.g. cluster-wide cores)."""
-        selected = [self._series[n] for n in names]
-        out = StepSeries(sum(s.values[0] for s in selected))
-        events = sorted({t for s in selected for t in s.times})
-        for t in events:
-            if t == 0.0:
-                continue
-            out.record(t, sum(s.value_at(t) for s in selected))
-        return out
-
-    @staticmethod
-    def mean_of(series: Sequence[StepSeries], t0: float, t1: float) -> float:
-        if not series:
-            return 0.0
-        return sum(s.mean(t0, t1) for s in series) / len(series)

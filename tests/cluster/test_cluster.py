@@ -139,3 +139,26 @@ def test_integrate_sums_over_machines():
     cluster.machine(1).cpu.submit(50.0, lambda: None)
     cluster.sim.drain()
     assert cluster.integrate("cpu_used", 0, 20.0) == pytest.approx(15.0)  # 10+5 core-s
+
+
+def test_utilization_views_accept_the_same_kinds():
+    """All utilization views read one capacity table: each accepts the six
+    trace kinds and agrees with the others, and an unknown kind is a
+    ValueError naming the known ones."""
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
+    cluster.machine(0).cpu.submit(100.0, lambda: None)
+    cluster.machine(0).reserve_cores(2)
+    cluster.sim.drain()
+    kinds = ("cpu_used", "cpu_alloc", "mem_used", "mem_alloc", "disk_used", "net_used")
+    for kind in kinds:
+        grid, pct = cluster.utilization_timeseries(kind, 0.0, 10.0, dt=5.0)
+        assert grid == [0.0, 5.0]
+        per = cluster.per_machine_utilization(kind, 0.0, 10.0)
+        mean = cluster.mean_utilization(kind, 0.0, 10.0)
+        assert mean == pytest.approx(sum(per) / len(per))
+        assert mean == pytest.approx(sum(pct) / len(pct) / 100.0)
+    assert cluster.mean_utilization("cpu_alloc", 0.0, 10.0) == pytest.approx(2 / 8)
+    for view in (cluster.mean_utilization, cluster.per_machine_utilization,
+                 cluster.utilization_timeseries, cluster.integrate):
+        with pytest.raises(ValueError, match="known kinds: cpu_used, cpu_alloc"):
+            view("gpu_used", 0.0, 10.0)

@@ -3,6 +3,7 @@ tiling, cross-engine digest pins, and the idle-time blame ledger."""
 
 import contextlib
 import io
+import json
 import pickle
 
 import pytest
@@ -12,6 +13,7 @@ from repro.metrics import compute_metrics
 from repro.obs import attribution as attr_mod
 from repro.obs import recorder
 from repro.obs.critpath import critical_path, parse_events
+from repro.obs.export import chrome_trace
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
@@ -109,7 +111,7 @@ def test_attribution_identical_optimized_vs_legacy_tick():
     assert d_opt == d_ora
 
 
-def test_attribution_identical_scalar_vs_vector_placement():
+def test_attribution_identical_engine_vs_oracle_in_task_mode():
     """Engine ≡ oracle tick in task mode, where one F row serves the
     whole placement round."""
     rec_opt, _ = _traced_run(stage_aware=False)
@@ -122,8 +124,6 @@ def test_attribution_identical_scalar_vs_vector_placement():
 def test_render_json_round_trips_and_digest_is_stable():
     rec, _ = _traced_run()
     result = attr_mod.attribute(rec.events)
-    import json
-
     assert json.loads(attr_mod.render_json(result)) == result
     # pickling the events (what the parallel runner ships) must not change
     # a byte of the artifact
@@ -155,6 +155,11 @@ def test_serial_vs_parallel_attribution_byte_identical():
     text_s = attr_mod.render_json(attr_mod.attribute(rec_s.events))
     text_p = attr_mod.render_json(attr_mod.attribute(rec_p.events))
     assert text_s == text_p
+    # the Chrome export too, otherData's per-unit engine entries included
+    docs = [json.dumps(chrome_trace(r.events, r.engine_ends())) for r in (rec_s, rec_p)]
+    assert docs[0] == docs[1]
+    engine = json.loads(docs[0])["otherData"]["engine"]
+    assert set(engine) == {e["unit"] for e in rec_s.events}
 
 
 # ----------------------------------------------------------------------

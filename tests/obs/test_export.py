@@ -141,7 +141,7 @@ def test_chrome_trace_metadata_and_counters():
 
 
 def test_chrome_trace_engine_stats_in_other_data():
-    doc = chrome_trace([], engine_stats={"run": [42, 3.5]})
+    doc = chrome_trace([], engine={"run": (42, 3.5)})
     assert doc["otherData"]["engine"]["run"] == {
         "events_fired": 42, "sim_end": 3.5,
     }

@@ -118,27 +118,30 @@ def test_begin_unit_labels_subsequent_events():
 
 
 def test_engine_observer_counts_fired_events():
+    """The engine logs its fired-event count and clock once per run, in
+    the entry the trace export and telemetry both read."""
     rec = recorder.enable()
     sim = Simulation()
     sim.schedule(1.0, lambda: None)
     sim.schedule(2.5, lambda: None)
     sim.drain()
     recorder.disable()
-    assert rec.engine_stats["run"] == [2, 2.5]
+    assert rec.log == [(ev.ENGINE, 2.5, 2)]
+    assert rec.engine_ends() == {"run": (2, 2.5)}
 
 
 def test_engine_binds_observer_only_while_enabled():
-    sim_off = Simulation()
-    assert sim_off._observer is None
+    """The engine binds nothing at construction: a run logs its ``engine``
+    entry to whichever recorder is installed when it stops, if any."""
+    sim = Simulation()  # built before observation was turned on
     rec = recorder.enable()
-    sim_on = Simulation()
-    assert sim_on._observer is not None
+    sim.schedule(1.0, lambda: None)
+    sim.drain()
     recorder.disable()
-    # binding happened at construction: the engine built while enabled keeps
-    # feeding the recorder it was bound to, the other never does
-    sim_on.schedule(1.0, lambda: None)
-    sim_on.drain()
-    assert rec.engine_stats["run"][0] == 1
+    sim.schedule(1.0, lambda: None)
+    sim.drain()  # observation off: nothing more is logged
+    assert rec.log == [(ev.ENGINE, 1.0, 1)]
+    assert rec.engine_ends() == {"run": (1, 1.0)}
 
 
 def test_placement_scores_are_recorded():

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
+from repro.experiments import common, fig_faults, table2_tpch
 from repro.faults import FaultPlan, GrantTimeout, RetryPolicy, WorkerBlackout, WorkerCrash
 from repro.metrics import compute_metrics
 from repro.obs import recorder, telemetry
@@ -122,6 +123,47 @@ def test_series_are_nonempty_and_exact():
     assert s["engine_events"] > 0
     assert s["alloc_latency"]["cpu"]["count"] > 0
     assert s["jct"]["count"] == 6
+
+
+def _table2_ursa_ejf(monkeypatch):
+    res = common.run_one_system(
+        "ursa-ejf", table2_tpch.workload, common.SCALES["tiny"], seed=1
+    )
+    return res.cluster
+
+
+def _fig_faults_srjf_c2(monkeypatch):
+    built = []
+
+    class KeepCluster(Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(fig_faults, "Cluster", KeepCluster)
+    fig_faults.run_unit(common.SCALES["tiny"], "srjf-c2", seed=0)
+    return built[0]
+
+
+@pytest.mark.parametrize("unit", [_table2_ursa_ejf, _fig_faults_srjf_c2])
+def test_busy_integrals_equal_cluster_usage_ledger(unit, monkeypatch):
+    """Telemetry's busy integrals (folded from grant/release log entries)
+    and the cluster's SE/UE usage ledger (the machines' ``cpu_used`` /
+    ``disk_used`` step series) are two views of the same occupancy: their
+    summed integrals over the run are exactly equal, faults included.
+    Network is left out on purpose: telemetry counts active transfers per
+    worker, the cluster ledger records the downlink fraction in use."""
+    tel = telemetry.enable()
+    cluster = unit(monkeypatch)
+    telemetry.disable()
+    u = tel.units["run"]
+    end = u.end_time()
+    for rtype, kind in (("cpu", "cpu_used"), ("disk", "disk_used")):
+        busy = sum(
+            u.busy[key].integral(0.0, end) for key in sorted(u.busy) if key[1] == rtype
+        )
+        assert busy > 0.0
+        assert busy == cluster.integrate(kind, 0.0, end), rtype
 
 
 def test_fault_run_conservation_and_fault_metrics():

@@ -1,92 +1,97 @@
-"""Unit tests for the telemetry time-series primitives."""
+"""Unit tests for the telemetry series primitives: the step series
+telemetry folds its signals into, and the streaming histograms."""
 
 import pytest
 
-from repro.obs.timeseries import (
-    LATENCY_BOUNDS,
-    StepAccumulator,
-    StreamingHistogram,
-    TimeBins,
-)
+from repro.obs.timeseries import LATENCY_BOUNDS, StreamingHistogram
+from repro.simcore.tracing import StepSeries
 
 
 class TestTimeBins:
+    """Fixed-interval telemetry series: ``StepSeries.resample`` windows."""
+
     def test_rejects_non_positive_width(self):
         with pytest.raises(ValueError):
-            TimeBins(0.0)
+            StepSeries().resample(0.0, 1.0, 0.0)
 
     def test_empty_series(self):
-        assert TimeBins(1.0).series() == []
-        assert TimeBins(1.0).integral == 0.0
+        s = StepSeries()
+        assert s.resample(0.0, 0.0, 1.0) == ([], [])
+        assert s.integral(0.0, 0.0) == 0.0
 
     def test_single_bin_segment(self):
-        b = TimeBins(1.0)
-        b.add(0.25, 0.75, 2.0)
-        assert b.integral == pytest.approx(1.0)
-        assert b.series() == [pytest.approx(1.0)]
+        s = StepSeries()
+        s.record(0.25, 2.0)
+        s.record(0.75, 0.0)
+        assert s.integral(0.0, 1.0) == pytest.approx(1.0)
+        assert s.resample(0.0, 1.0, 1.0)[1] == [pytest.approx(1.0)]
 
     def test_segment_spanning_bins_prorates_edges(self):
-        b = TimeBins(1.0)
-        b.add(0.5, 2.5, 1.0)  # half of bin0, all of bin1, half of bin2
-        assert b.sums == [pytest.approx(0.5), pytest.approx(1.0), pytest.approx(0.5)]
-        assert b.integral == pytest.approx(2.0)
+        s = StepSeries()
+        s.record(0.5, 1.0)  # half of bin0, all of bin1, half of bin2
+        s.record(2.5, 0.0)
+        assert s.resample(0.0, 3.0, 1.0)[1] == [
+            pytest.approx(0.5), pytest.approx(1.0), pytest.approx(0.5)
+        ]
+        assert s.integral(0.0, 3.0) == pytest.approx(2.0)
 
     def test_zero_value_still_extends_coverage(self):
-        """A zero-valued segment creates bins so the series covers the gap."""
-        b = TimeBins(1.0)
-        b.add(0.0, 3.0, 0.0)
-        b.add(3.0, 4.0, 2.0)
-        assert b.series() == [0.0, 0.0, 0.0, pytest.approx(2.0)]
+        """A zero-valued stretch still yields windows, so the series covers
+        the gap."""
+        s = StepSeries()
+        s.record(3.0, 2.0)
+        assert s.resample(0.0, 4.0, 1.0)[1] == [0.0, 0.0, 0.0, pytest.approx(2.0)]
 
     def test_last_bin_divides_by_covered_span(self):
-        b = TimeBins(1.0)
-        b.add(0.0, 1.5, 1.0)  # last bin only covered for 0.5 s
-        assert b.series(end=1.5) == [pytest.approx(1.0), pytest.approx(1.0)]
-        # without end, the partial last bin under-reports (documented)
-        assert b.series() == [pytest.approx(1.0), pytest.approx(0.5)]
+        s = StepSeries(1.0)  # the last window is only covered for 0.5 s
+        assert s.resample(0.0, 1.5, 1.0) == ([0.0, 1.0], [1.0, 1.0])
 
     def test_backwards_segment_ignored(self):
-        b = TimeBins(1.0)
-        b.add(2.0, 1.0, 5.0)
-        assert b.series() == []
+        s = StepSeries(5.0)
+        assert s.resample(2.0, 1.0, 1.0) == ([], [])
+        assert s.integral(2.0, 1.0) == 0.0
+        assert s.busy(2.0, 1.0) == 0.0
 
 
 class TestStepAccumulator:
+    """Telemetry's gauge queries: ``StepSeries`` integral, busy time, peak."""
+
     def test_integral_and_busy_seconds(self):
-        acc = StepAccumulator(1.0)
-        acc.delta(1.0, 1.0)   # 0 active during [0,1)
-        acc.delta(3.0, 1.0)   # 1 active during [1,3)
-        acc.delta(4.0, -2.0)  # 2 active during [3,4)
-        acc.advance(5.0)      # 0 active during [4,5)
-        assert acc.integral == pytest.approx(1.0 * 2 + 2.0 * 1)
-        assert acc.busy_seconds == pytest.approx(3.0)
-        assert acc.peak == 2.0
-        assert acc.mean(5.0) == pytest.approx(4.0 / 5.0)
+        s = StepSeries()
+        s.add(1.0, 1.0)   # 0 active during [0,1)
+        s.add(3.0, 1.0)   # 1 active during [1,3)
+        s.add(4.0, -2.0)  # 2 active during [3,4), 0 during [4,5)
+        assert s.integral(0.0, 5.0) == pytest.approx(1.0 * 2 + 2.0 * 1)
+        assert s.busy(0.0, 5.0) == pytest.approx(3.0)
+        assert s.busy(2.0, 3.5) == pytest.approx(1.5)
+        assert s.peak == 2.0
+        assert s.mean(0.0, 5.0) == pytest.approx(4.0 / 5.0)
 
     def test_mean_covers_pending_segment(self):
-        acc = StepAccumulator(1.0)
-        acc.set(0.0, 2.0)
-        # value 2.0 held from t=0, never advanced: mean must include it
-        assert acc.mean(4.0) == pytest.approx(2.0)
+        s = StepSeries()
+        s.record(0.0, 2.0)
+        # value 2.0 held from t=0 with no later change: the mean includes it
+        assert s.mean(0.0, 4.0) == pytest.approx(2.0)
 
     def test_mean_empty(self):
-        assert StepAccumulator(1.0).mean() == 0.0
-        assert StepAccumulator(1.0).mean(0.0) == 0.0
+        assert StepSeries().mean() == 0.0
+        assert StepSeries().mean(0.0, 0.0) == 0.0
 
     def test_same_instant_updates_replace_value(self):
-        acc = StepAccumulator(1.0)
-        acc.set(1.0, 5.0)
-        acc.set(1.0, 1.0)  # zero-length segment contributes nothing
-        acc.advance(2.0)
-        assert acc.integral == pytest.approx(1.0)
-        assert acc.peak == 5.0
+        s = StepSeries()
+        s.record(1.0, 5)
+        s.record(1.0, 1)  # zero-length spike contributes nothing...
+        assert s.integral(0.0, 2.0) == pytest.approx(1.0)
+        assert s.peak == 5  # ...but the peak still saw it,
+        assert type(s.peak) is int  # as given: int gauges export as ints
 
     def test_series_matches_bins(self):
-        acc = StepAccumulator(1.0)
-        acc.delta(0.5, 1.0)
-        acc.delta(2.5, -1.0)
-        s = acc.series(end=3.0)
-        assert s == [pytest.approx(0.5), pytest.approx(1.0), pytest.approx(0.5)]
+        s = StepSeries()
+        s.add(0.5, 1.0)
+        s.add(2.5, -1.0)
+        grid, avgs = s.resample(0.0, 3.0, 1.0)
+        assert avgs == [pytest.approx(0.5), pytest.approx(1.0), pytest.approx(0.5)]
+        assert avgs == [s.integral(t, t + 1.0) for t in grid]
 
 
 class TestStreamingHistogram:

@@ -171,41 +171,6 @@ def test_traceset_series_identity_and_names():
     assert ts["m1.cpu"] is ts.series("m1.cpu")
 
 
-def test_traceset_aggregate_sums_series():
-    ts = TraceSet()
-    a = ts.series("a")
-    b = ts.series("b")
-    a.record(1.0, 2.0)
-    b.record(2.0, 3.0)
-    a.record(3.0, 0.0)
-    agg = ts.aggregate(["a", "b"])
-    assert agg.value_at(0.5) == 0.0
-    assert agg.value_at(1.5) == 2.0
-    assert agg.value_at(2.5) == 5.0
-    assert agg.value_at(3.5) == 3.0
-    assert agg.integral(0, 4.0) == pytest.approx(a.integral(0, 4.0) + b.integral(0, 4.0))
-
-
-def test_traceset_aggregate_empty_selection():
-    ts = TraceSet()
-    agg = ts.aggregate([])
-    assert agg.value_at(0.0) == 0.0
-    assert agg.integral(0.0, 10.0) == 0.0
-
-
-def test_traceset_aggregate_same_instant_changes():
-    """Two series stepping at the same instant fold into one breakpoint."""
-    ts = TraceSet()
-    a = ts.series("a")
-    b = ts.series("b")
-    a.record(1.0, 2.0)
-    b.record(1.0, 3.0)
-    agg = ts.aggregate(["a", "b"])
-    assert agg.value_at(0.5) == 0.0
-    assert agg.value_at(1.0) == 5.0
-    assert len(agg) == 2
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
