@@ -204,10 +204,12 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
     which goes first (host load drifts between runs; rotation cancels the
     first-in-set bias).  The reported overhead is the **median of the
     per-pair on/off ratios** — far more robust against load spikes than
-    comparing best-of times collected seconds apart.
+    comparing best-of times collected seconds apart — next to their
+    quartiles, so a reader can tell an overhead from the host's spread.
     """
     from repro.obs import recorder as rec_mod
     from repro.obs import telemetry as tel_mod
+    from repro.obs.latency import percentile
 
     def run_off():
         return _plain_run(n_jobs)
@@ -244,24 +246,26 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
               + "   ".join(f"{name} {times[name][-1]:6.2f} s" for name in order),
               file=sys.stderr)
 
-    def median_overhead(name: str) -> float:
+    def overhead_pct(name: str, q: float) -> float:
         ratios = sorted(on / off for on, off in zip(times[name], times["off"]))
-        mid = len(ratios) // 2
-        median = (ratios[mid] if len(ratios) % 2
-                  else (ratios[mid - 1] + ratios[mid]) / 2.0)
-        return round((median - 1.0) * 100.0, 1)
+        return round((percentile(ratios, q) - 1.0) * 100.0, 1)
 
     return {
         "workload": f"synthetic setting-1, {n_jobs} jobs, EJF W=5, bench scale, seed 1",
-        "method": "median of per-pair on/off ratios, rotating run order",
+        "method": "median (and quartiles) of per-pair on/off ratios, "
+                  "rotating run order",
         "repeats": repeats,
         "telemetry_off_s": [round(t, 2) for t in times["off"]],
         "telemetry_on_s": [round(t, 2) for t in times["telemetry"]],
         "recorder_on_s": [round(t, 2) for t in times["recorder"]],
         "telemetry_off_best_s": round(min(times["off"]), 2),
         "telemetry_on_best_s": round(min(times["telemetry"]), 2),
-        "overhead_pct": median_overhead("telemetry"),
-        "recorder_overhead_pct": median_overhead("recorder"),
+        "overhead_pct": overhead_pct("telemetry", 50),
+        "overhead_quartiles_pct": [overhead_pct("telemetry", q) for q in (25, 75)],
+        "recorder_overhead_pct": overhead_pct("recorder", 50),
+        "recorder_overhead_quartiles_pct": [
+            overhead_pct("recorder", q) for q in (25, 75)
+        ],
         "metrics_bit_identical": len(set(metrics.values())) == 1,
     }
 
@@ -357,8 +361,10 @@ def cmd_write(args) -> int:
     print(f"metrics_diff: wrote {len(metrics)} metrics to {args.baseline}")
     if "wall_clock" in doc:
         wall = doc["wall_clock"]
-        print(f"  telemetry overhead: {wall['overhead_pct']}%, recorder overhead: "
+        print(f"  telemetry overhead: {wall['overhead_pct']}% "
+              f"(quartiles {wall['overhead_quartiles_pct']}), recorder overhead: "
               f"{wall['recorder_overhead_pct']}% "
+              f"(quartiles {wall['recorder_overhead_quartiles_pct']}) "
               f"(identical metrics: {wall['metrics_bit_identical']})")
     return 0
 

@@ -37,7 +37,7 @@ class ResourceType(enum.Enum):
 
 
 class DepType(enum.Enum):
-    SYNC = "sync"    # barrier; monotask dependency is fully bipartite
+    SYNC = "sync"    # barrier; into a network op, one stage-level edge
     ASYNC = "async"  # pipelined; monotask dependency is one-to-one
 
 
@@ -253,6 +253,8 @@ class OpGraph:
         * every read dataset is either a job input or produced by some op
           that precedes the reader;
         * async edges connect ops of equal parallelism (one-to-one);
+        * in-edges of network ops are sync (a network monotask pulls a shard
+          of every partition it reads, so it waits for all of them);
         * network/disk ops carry no UDFs (enforced at build time) and create
           at most one dataset.
         """
@@ -265,6 +267,11 @@ class OpGraph:
                         f"neither a job input nor produced by any op"
                     )
             for parent, dep in op.in_edges:
+                if dep is DepType.ASYNC and op.rtype is ResourceType.NETWORK:
+                    raise GraphError(
+                        f"async edge {parent.name!r}->{op.name!r}: in-edges of "
+                        f"a network op must be SYNC"
+                    )
                 if dep is DepType.ASYNC and parent.parallelism != op.parallelism:
                     raise GraphError(
                         f"async edge {parent.name!r}->{op.name!r} requires equal "

@@ -2,10 +2,13 @@
 
 * A **monotask** performs one op (or a fused chain of async-connected CPU
   ops) on one output partition, using exactly one resource type.
-* A **task** is a connected component of the monotask DAG after removing the
-  in-edges of all network monotasks; its monotasks are collocated because
-  network transfer is pull-based (the data lands where the task runs).
-* A **stage** is the set of tasks generated from the same ops.
+* A **task** is a connected component of the monotask DAG, which holds no
+  in-edges of network monotasks; its monotasks are collocated because
+  network transfer is pull-based (the data lands where the task runs), and
+  every monotask edge stays inside its task.
+* A **stage** is the set of tasks generated from the same ops.  Stage edges
+  are the only record of cross-task dependency: a task is ready once every
+  task of each parent stage is done.
 
 Planner output is immutable structure; runtime state (readiness, placement,
 measured sizes) lives in small mutable fields the execution layer owns.
@@ -14,18 +17,15 @@ measured sizes) lives in small mutable fields the execution layer owns.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .graph import DepType, Op, ResourceType
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .planner import PlannedJob
+from .graph import Op, ResourceType
 
 __all__ = ["Monotask", "Task", "Stage", "MonotaskState", "TaskState"]
 
 
 class MonotaskState(enum.Enum):
-    PENDING = "pending"    # intra-task parents not finished
+    PENDING = "pending"    # parents (all in its task) not finished
     READY = "ready"        # sent (or sendable) to a worker queue
     QUEUED = "queued"      # waiting in a worker's per-resource queue
     RUNNING = "running"
@@ -33,8 +33,8 @@ class MonotaskState(enum.Enum):
 
 
 class TaskState(enum.Enum):
-    BLOCKED = "blocked"    # some parent task unfinished
-    READY = "ready"        # all parents done; awaiting placement
+    BLOCKED = "blocked"    # some parent stage unfinished
+    READY = "ready"        # all parent stages done; awaiting placement
     PLACED = "placed"      # assigned to a worker
     DONE = "done"
 
@@ -80,17 +80,9 @@ class Monotask:
         return self.ops[0]
 
     @property
-    def is_network(self) -> bool:
-        return self.rtype is ResourceType.NETWORK
-
-    @property
-    def intra_task_parents(self) -> list["Monotask"]:
-        return [p for p in self.parents if p.task is self.task]
-
-    @property
     def is_task_source(self) -> bool:
-        """True if runnable as soon as the task is placed (no intra-task deps)."""
-        return not self.intra_task_parents
+        """True if runnable as soon as the task is placed (no parents)."""
+        return not self.parents
 
     def __repr__(self) -> str:  # pragma: no cover
         names = "+".join(op.name for op in self.ops)
@@ -101,11 +93,10 @@ class Task:
     """A connected component of collocated monotasks."""
 
     __slots__ = (
-        "task_id", "monotasks", "stage", "parents", "children",
-        "state", "worker", "locality", "est_cpu_mb", "est_net_mb",
-        "est_disk_mb", "est_mem_mb", "sched_usage", "_input_mb",
-        "remaining_parents", "remaining_monotasks", "ready_at", "placed_at",
-        "finished_at",
+        "task_id", "monotasks", "stage", "state", "worker", "locality",
+        "est_cpu_mb", "est_net_mb", "est_disk_mb", "est_mem_mb",
+        "sched_usage", "_input_mb", "remaining_monotasks", "ready_at",
+        "placed_at", "finished_at",
     )
 
     def __init__(self, task_id: int, monotasks: list[Monotask]):
@@ -114,8 +105,6 @@ class Task:
         for m in monotasks:
             m.task = self
         self.stage: Optional["Stage"] = None
-        self.parents: set["Task"] = set()
-        self.children: set["Task"] = set()
         self.state = TaskState.BLOCKED
         self.worker: Optional[int] = None
         self.locality: Optional[int] = None  # hard placement constraint
@@ -128,7 +117,6 @@ class Task:
         # scheduler resolves this once per task instead of once per round
         self.sched_usage: Optional[tuple] = None
         self._input_mb: Optional[float] = None
-        self.remaining_parents = 0
         self.remaining_monotasks = len(monotasks)
         self.ready_at: Optional[float] = None
         self.placed_at: Optional[float] = None
@@ -161,9 +149,11 @@ class Task:
 
 
 class Stage:
-    """Tasks generated from the same set of ops."""
+    """Tasks generated from the same set of ops, and the stage DAG edges
+    (one per shuffle between two stages) that gate their readiness."""
 
-    __slots__ = ("stage_id", "signature", "tasks", "name")
+    __slots__ = ("stage_id", "signature", "tasks", "name", "parents", "children",
+                 "remaining_parents", "remaining_tasks")
 
     def __init__(self, stage_id: int, signature: frozenset, tasks: list[Task], name: str):
         self.stage_id = stage_id
@@ -172,6 +162,11 @@ class Stage:
         self.name = name
         for t in tasks:
             t.stage = self
+        self.parents: list["Stage"] = []
+        self.children: list["Stage"] = []
+        # parent stages with unfinished tasks; this stage's unfinished tasks
+        self.remaining_parents = 0
+        self.remaining_tasks = len(tasks)
 
     @property
     def num_tasks(self) -> int:

@@ -5,21 +5,24 @@ Steps, exactly as the paper describes:
 1. **Collapse** connected subgraphs of CPU ops linked by async dependencies
    into one (fused) CPU op group, "for scalability in scheduling monotasks".
    After this, each task contains at most one CPU monotask.
-2. **Generate monotasks** — one per output partition of each op group.  A
-   sync dependency between two ops becomes a fully-connected bipartite
-   dependency between their monotasks; an async dependency becomes
-   one-to-one.
-3. **Form tasks** — remove the in-edges of all network monotasks; each
-   remaining connected component is a task (its monotasks are collocated
-   because transfers are pull-based).
+2. **Generate monotasks** — one per output partition of each op group.  An
+   async dependency becomes one-to-one monotask edges and a sync one
+   all-to-all edges, except that the in-edges of network ops (all sync,
+   see :meth:`OpGraph.validate`) are never materialised: they are the
+   cuts between tasks.
+3. **Form tasks** — each connected component of the monotask DAG is a
+   task (its monotasks are collocated because transfers are pull-based),
+   so every monotask edge stays inside its task.
 4. **Form stages** — tasks whose monotasks come from the same ops form a
-   stage; task-level dependencies are derived from the severed edges.
+   stage.  Each op-group edge into a network op becomes one edge of the
+   stage DAG, the only record of cross-task dependency: a network
+   monotask pulls a shard of every partition it reads, so a consumer stage
+   waits for every task of each producer stage.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional
 
 from .graph import DepType, GraphError, Op, OpGraph, ResourceType
 from .monotask import Monotask, Stage, Task
@@ -83,11 +86,7 @@ class PlannedJob:
 
     @property
     def root_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if not t.parents]
-
-    def stage_of(self, task: Task) -> Stage:
-        assert task.stage is not None
-        return task.stage
+        return [t for t in self.tasks if not t.stage.parents]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -100,10 +99,11 @@ def plan_job(graph: OpGraph) -> PlannedJob:
     """Compile ``graph`` into its monotask DAG, tasks, and stages."""
     graph.validate()
     groups = _collapse_cpu_chains(graph)
-    monotasks = _generate_monotasks(groups)
+    monotasks, per_group = _generate_monotasks(groups)
     tasks = _form_tasks(monotasks)
     stages = _form_stages(tasks)
-    _wire_task_dependencies(tasks)
+    _wire_stages(groups, per_group)
+    _check_stage_dag(stages)
     return PlannedJob(graph, monotasks, tasks, stages)
 
 
@@ -154,7 +154,7 @@ def _collapse_cpu_chains(graph: OpGraph) -> list[_OpGroup]:
 # ----------------------------------------------------------------------
 # step 2: monotask generation + dependency wiring
 # ----------------------------------------------------------------------
-def _generate_monotasks(groups: list[_OpGroup]) -> list[Monotask]:
+def _generate_monotasks(groups: list[_OpGroup]) -> tuple[list[Monotask], dict]:
     monotasks: list[Monotask] = []
     per_group: dict[int, list[Monotask]] = {}
     for g in groups:
@@ -164,6 +164,8 @@ def _generate_monotasks(groups: list[_OpGroup]) -> list[Monotask]:
 
     for g in groups:
         for child_group, dep in g.out_edges:
+            if child_group.rtype is ResourceType.NETWORK:
+                continue  # a cut between tasks: wired as a stage edge
             srcs = per_group[g.group_id]
             dsts = per_group[child_group.group_id]
             if dep is DepType.SYNC:
@@ -179,21 +181,17 @@ def _generate_monotasks(groups: list[_OpGroup]) -> list[Monotask]:
                 for s, d in zip(srcs, dsts):
                     s.children.append(d)
                     d.parents.append(s)
-    return monotasks
+    return monotasks, per_group
 
 
 # ----------------------------------------------------------------------
-# step 3: connected components after cutting network in-edges
+# step 3: connected components of the monotask DAG
 # ----------------------------------------------------------------------
 def _form_tasks(monotasks: list[Monotask]) -> list[Task]:
-    n = len(monotasks)
-    index = {id(m): i for i, m in enumerate(monotasks)}
-    uf = _UnionFind(n)
+    uf = _UnionFind(len(monotasks))
     for m in monotasks:
         for child in m.children:
-            if child.is_network:
-                continue  # severed: in-edge of a network monotask
-            uf.union(index[id(m)], index[id(child)])
+            uf.union(m.mt_id, child.mt_id)
 
     members: dict[int, list[Monotask]] = defaultdict(list)
     for i, m in enumerate(monotasks):
@@ -207,7 +205,7 @@ def _form_tasks(monotasks: list[Monotask]) -> list[Task]:
 
 
 # ----------------------------------------------------------------------
-# step 4: stages + task-level dependencies
+# step 4: stages + the stage DAG
 # ----------------------------------------------------------------------
 def _form_stages(tasks: list[Task]) -> list[Stage]:
     by_signature: dict[frozenset, list[Task]] = defaultdict(list)
@@ -225,14 +223,43 @@ def _form_stages(tasks: list[Task]) -> list[Stage]:
     return stages
 
 
-def _wire_task_dependencies(tasks: list[Task]) -> None:
-    for t in tasks:
-        for m in t.monotasks:
-            for parent in m.parents:
-                pt = parent.task
-                assert pt is not None
-                if pt is not t:
-                    t.parents.add(pt)
-                    pt.children.add(t)
-    for t in tasks:
-        t.remaining_parents = len(t.parents)
+def _wire_stages(groups: list[_OpGroup], per_group: dict) -> None:
+    """One stage edge per (producer stage, consumer stage) pair of the
+    op-group edges into network ops (a group's monotasks share one stage)."""
+    for g in groups:
+        for child_group, _dep in g.out_edges:
+            if child_group.rtype is ResourceType.NETWORK:
+                producer = per_group[g.group_id][0].task.stage
+                consumer = per_group[child_group.group_id][0].task.stage
+                if consumer not in producer.children:
+                    producer.children.append(consumer)
+                    consumer.parents.append(producer)
+                    consumer.remaining_parents += 1
+
+
+def _check_stage_dag(stages: list[Stage]) -> None:
+    """Raise :class:`GraphError` naming the stages on a cycle, if any: a task
+    waiting on its own stage would never become ready (e.g. a CPU chain fused
+    across the shuffle it feeds)."""
+    indeg = {s: len(s.parents) for s in stages}
+    frontier = [s for s in stages if not s.parents]
+    while frontier:
+        for c in frontier.pop().children:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                frontier.append(c)
+    blocked = [s for s in stages if indeg[s] > 0]
+    if not blocked:
+        return
+    # every blocked stage has a blocked parent: walk parents until one repeats
+    path: list[Stage] = []
+    cur = blocked[0]
+    while cur not in path:
+        path.append(cur)
+        cur = next(p for p in cur.parents if indeg[p] > 0)
+    cycle = path[path.index(cur):][::-1]
+    raise GraphError(
+        "stage DAG has a cycle: "
+        + " -> ".join(repr(s.name) for s in cycle + cycle[:1])
+        + " (a task would wait on its own stage)"
+    )

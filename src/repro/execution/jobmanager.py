@@ -2,7 +2,7 @@
 
 The JM owns the job's monotask DAG and drives the execution flow:
 
-* it maintains the list of **ready tasks** (all parent tasks complete);
+* it maintains the list of **ready tasks** (all parent stages complete);
 * when a task becomes ready, it resolves every monotask's input sizes from
   the metadata store (sizes are known at ready time, §4.2.1), computes the
   task's estimated per-resource usage and memory, and reports the task to
@@ -102,11 +102,7 @@ class JobManager:
                 ))
             self.backend.on_job_complete(self)
             return
-        newly = []
-        for task in self.job.plan.tasks:
-            if task.remaining_parents == 0:
-                newly.append(task)
-        self._mark_ready(newly)
+        self._mark_ready(self.job.plan.root_tasks)
 
     def _mark_ready(self, tasks: list[Task]) -> None:
         if not tasks:
@@ -159,17 +155,16 @@ class JobManager:
 
     @staticmethod
     def _intra_task_topo(task: Task) -> list[Monotask]:
-        indeg = {id(m): len(m.intra_task_parents) for m in task.monotasks}
+        indeg = {id(m): len(m.parents) for m in task.monotasks}
         frontier = [m for m in task.monotasks if indeg[id(m)] == 0]
         order: list[Monotask] = []
         while frontier:
             m = frontier.pop()
             order.append(m)
             for c in m.children:
-                if c.task is task:
-                    indeg[id(c)] -= 1
-                    if indeg[id(c)] == 0:
-                        frontier.append(c)
+                indeg[id(c)] -= 1
+                if indeg[id(c)] == 0:
+                    frontier.append(c)
         assert len(order) == len(task.monotasks), "intra-task cycle"
         return order
 
@@ -183,7 +178,7 @@ class JobManager:
         mt.expected_out_mb = mt.input_size_mb
 
     def _resolve_disk(self, mt: Monotask) -> None:
-        parents = mt.intra_task_parents
+        parents = mt.parents
         if parents:
             # disk write: consumes the output of its (CPU) parent(s)
             mt.input_size_mb = sum(p.expected_out_mb for p in parents)
@@ -201,11 +196,11 @@ class JobManager:
         chain_created = {op.output.data_id for op in mt.ops if op.output is not None}
         parent_outputs = {
             op.output.data_id
-            for p in mt.intra_task_parents
+            for p in mt.parents
             for op in p.ops
             if op.output is not None
         }
-        external = sum(p.expected_out_mb for p in mt.intra_task_parents)
+        external = sum(p.expected_out_mb for p in mt.parents)
         cached_locs: dict[int, float] = {}
         for op in mt.ops:
             for h in op.reads:
@@ -289,12 +284,11 @@ class JobManager:
         if task.remaining_monotasks > 0:
             # release newly-ready intra-task monotasks to the same worker
             for child in mt.children:
-                if child.task is task and child.state is MonotaskState.PENDING:
-                    if all(
-                        p.state is MonotaskState.DONE for p in child.intra_task_parents
-                    ):
-                        child.state = MonotaskState.READY
-                        self.backend.enqueue_monotask(self, child)
+                if child.state is MonotaskState.PENDING and all(
+                    p.state is MonotaskState.DONE for p in child.parents
+                ):
+                    child.state = MonotaskState.READY
+                    self.backend.enqueue_monotask(self, child)
             return
 
         self._task_finished(task)
@@ -330,6 +324,7 @@ class JobManager:
         elif task.state is TaskState.DONE:
             # its placement memory was released at completion
             job.tasks_done -= 1
+            task.stage.remaining_tasks += 1
         elif task.state is TaskState.READY:
             self.ready_tasks.pop(task, None)
         for mt in task.monotasks:
@@ -358,23 +353,22 @@ class JobManager:
         return wasted
 
     def fault_recount_dependencies(self) -> None:
-        """Re-derive ``remaining_parents`` for every non-terminal task after
-        rewinds invalidated the incremental counters.
+        """Re-derive every stage's ``remaining_parents`` from its parents'
+        ``remaining_tasks`` after rewinds invalidated the incremental counts.
 
-        A READY task with a rewound parent is pulled back to BLOCKED: the
-        parent's outputs are gone, so it must wait for the re-execution and
-        re-resolve its inputs then.  (Its own resolved inputs, if damaged,
-        already placed it in the restart set — this handles the purely
-        counter-level fallout.)  PLACED and DONE tasks are left alone: any
-        placed task with a rewound parent reads that parent's now-dead data
-        and was therefore itself rewound before this runs.
+        A READY task of a stage with a rewound parent task is pulled back to
+        BLOCKED: the parent's outputs are gone, so it must wait for the
+        re-execution and re-resolve its inputs then.  (Its own resolved
+        inputs, if damaged, already placed it in the restart set — this
+        handles the purely counter-level fallout.)  PLACED and DONE tasks are
+        left alone: any placed task with a rewound parent reads that parent's
+        now-dead data and was therefore itself rewound before this runs.
         """
-        for task in self.job.plan.tasks:
-            if task.state in (TaskState.DONE, TaskState.PLACED):
-                continue
-            count = sum(1 for p in task.parents if p.state is not TaskState.DONE)
-            task.remaining_parents = count
-            if task.state is TaskState.READY and count > 0:
+        plan = self.job.plan
+        for stage in plan.stages:
+            stage.remaining_parents = sum(p.remaining_tasks > 0 for p in stage.parents)
+        for task in plan.tasks:
+            if task.state is TaskState.READY and task.stage.remaining_parents > 0:
                 self.ready_tasks.pop(task, None)
                 task.state = TaskState.BLOCKED
                 task.locality = None
@@ -388,7 +382,7 @@ class JobManager:
         completion, rewound again, or its job failed in the meantime."""
         if self.job.state is not JobState.ADMITTED:
             return
-        if task.state is TaskState.BLOCKED and task.remaining_parents == 0:
+        if task.state is TaskState.BLOCKED and task.stage.remaining_parents == 0:
             self._mark_ready([task])
 
     def fault_requeue_monotask(self, mt: Monotask) -> None:
@@ -432,15 +426,17 @@ class JobManager:
             machine.release_memory(task.est_mem_mb)
         machine.unuse_memory(self._actual_memory(task))
 
-        newly_ready: list[Task] = []
-        for child in task.children:
-            child.remaining_parents -= 1
-            if child.remaining_parents == 0:
-                newly_ready.append(child)
-        # task.children is a set (id-ordered): sort so ready order — and
-        # hence placement tie-breaking — is reproducible across runs
-        newly_ready.sort(key=lambda t: t.task_id)
-        self._mark_ready(newly_ready)
+        stage = task.stage
+        stage.remaining_tasks -= 1
+        if stage.remaining_tasks == 0:
+            newly_ready: list[Task] = []
+            for child in stage.children:
+                child.remaining_parents -= 1
+                if child.remaining_parents == 0:
+                    newly_ready += [t for t in child.tasks if t.state is TaskState.BLOCKED]
+            # ready order drives placement tie-breaking: keep it by task id
+            newly_ready.sort(key=lambda t: t.task_id)
+            self._mark_ready(newly_ready)
 
         # optional backend hook (executor-model baselines free task slots)
         notify = getattr(self.backend, "on_task_complete", None)

@@ -203,7 +203,7 @@ class FaultController:
             for task in tasks:
                 key = (job_id, task.task_id)
                 pending_keys.add(key)
-                if task.state is TaskState.BLOCKED and task.remaining_parents == 0:
+                if task.state is TaskState.BLOCKED and task.stage.remaining_parents == 0:
                     delay = (
                         self.retry.delay(self._attempts.get(key, 0))
                         if task in charged else 0.0

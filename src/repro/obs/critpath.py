@@ -449,6 +449,8 @@ def _walk_monotasks(walk: _Walk, unit: UnitTrace, job: JobSpan) -> None:
                       mt=cur.mt, task=cur.task, worker=cur.worker)
             lower = cur.push_t
         task = job.tasks.get(cur.task) if cur.task is not None else None
+        # task_deps rows list intra-task parents only; older traces also
+        # listed cross-task ones, which the task chain below covers
         intra = [
             job.mts[p] for p in cur.parents
             if p in job.mts and task is not None and p in task.mts

@@ -35,12 +35,16 @@ def test_reduce_by_key_monotask_counts():
     assert len(plan.monotasks) == 7
 
 
-def test_sync_dependency_is_bipartite():
+def test_shuffle_is_one_stage_edge():
     plan = plan_job(reduce_by_key_graph(3, 2))
     shuffles = [m for m in plan.monotasks if m.rtype is ResourceType.NETWORK]
     assert len(shuffles) == 2
     for sh in shuffles:
-        assert len(sh.parents) == 3  # every ser feeds every shuffle
+        assert sh.parents == []  # the shuffle is a cut, not 3 monotask edges
+    ser = next(s for s in plan.stages if s.name == "ser")
+    down = next(s for s in plan.stages if s.name == "deser+shuffle")
+    assert ser.children == [down] and down.parents == [ser]
+    assert ser.parents == [] and down.children == []
 
 
 def test_async_dependency_is_one_to_one():
@@ -67,8 +71,8 @@ def test_shuffle_and_deser_collocate_in_one_task():
     for t in two:
         rtypes = sorted(m.rtype.value for m in t.monotasks)
         assert rtypes == ["cpu", "network"]
-        net = next(m for m in t.monotasks if m.is_network)
-        cpu = next(m for m in t.monotasks if not m.is_network)
+        net = next(m for m in t.monotasks if m.rtype is ResourceType.NETWORK)
+        cpu = next(m for m in t.monotasks if m.rtype is ResourceType.CPU)
         assert net.children == [cpu]
         assert net.is_task_source
         assert not cpu.is_task_source
@@ -85,13 +89,16 @@ def test_task_dependencies_follow_severed_edges():
     plan = plan_job(reduce_by_key_graph(3, 2))
     ser_tasks = [t for t in plan.tasks if len(t.monotasks) == 1]
     down_tasks = [t for t in plan.tasks if len(t.monotasks) == 2]
+    ser, down = ser_tasks[0].stage, down_tasks[0].stage
+    assert ser.tasks == ser_tasks and down.tasks == down_tasks
+    assert down.parents == [ser] and ser.children == [down]
+    assert (down.remaining_parents, down.remaining_tasks) == (1, 2)
+    assert (ser.remaining_parents, ser.remaining_tasks) == (0, 3)
+    # the severed edges are not monotask edges
     for dt in down_tasks:
-        assert dt.parents == set(ser_tasks)
-        assert dt.remaining_parents == 3
-    for s in ser_tasks:
-        assert s.children == set(down_tasks)
-        assert not s.parents
-    assert set(plan.root_tasks) == set(ser_tasks)
+        for m in dt.monotasks:
+            assert all(p.task is dt for p in m.parents)
+    assert plan.root_tasks == ser_tasks
 
 
 def test_cpu_chain_collapse():
@@ -255,8 +262,88 @@ def test_property_every_monotask_in_exactly_one_task(params):
     staged = [t for s in plan.stages for t in s.tasks]
     assert sorted(t.task_id for t in staged) == sorted(t.task_id for t in plan.tasks)
 
-    # task dep graph is acyclic and consistent with monotask edges
-    for t in plan.tasks:
-        assert t not in t.parents
-        for p in t.parents:
-            assert t in p.children
+    # every monotask edge stays inside its task
+    for m in plan.monotasks:
+        assert all(p.task is m.task for p in m.parents)
+        assert all(c.task is m.task for c in m.children)
+
+    # stage edges are symmetric, one per stage pair, and acyclic
+    for s in plan.stages:
+        assert len(set(s.parents)) == len(s.parents) == s.remaining_parents
+        for p in s.parents:
+            assert s in p.children
+        for c in s.children:
+            assert s in c.parents
+    depth = {}
+    for s in plan.stages:  # parents precede children in stage-id order
+        depth[s] = max((depth[p] for p in s.parents), default=-1) + 1
+    assert len(plan.stages) == layers + 1
+    assert sorted(depth.values()) == list(range(layers + 1))
+
+
+def test_all_to_all_plans_with_edges_linear_in_monotasks():
+    plan = plan_job(reduce_by_key_graph(256, 256))
+    assert len(plan.monotasks) == 3 * 256
+    # one shuffle -> deser edge per partition; no 256 x 256 bipartite copy
+    assert sum(len(m.parents) for m in plan.monotasks) == 256
+    assert sum(len(m.children) for m in plan.monotasks) == 256
+    assert sum(len(s.parents) for s in plan.stages) == 1
+
+
+def test_async_edge_into_network_op_is_rejected():
+    g = OpGraph("async-net")
+    src = g.create_data(4)
+    g.set_input(src, [10.0, 10.0, 10.0, 400.0])
+    a = g.create_op(ResourceType.CPU, "a").read(src).create(g.create_data(4))
+    n = g.create_op(ResourceType.NETWORK, "n").read(a.output).create(g.create_data(4))
+    a.to(n, DepType.ASYNC)
+    with pytest.raises(GraphError, match=r"'a'->'n'.*network op must be SYNC"):
+        plan_job(g)
+
+
+def test_cpu_chain_fused_across_its_own_shuffle_is_rejected():
+    """a -> n (sync), n -> b and a -> b (async): fusing a+b would make the
+    a+b tasks wait on their own stage."""
+    g = OpGraph("self-shuffle")
+    src = g.create_data(2)
+    g.set_input(src, [1.0, 1.0])
+    a = g.create_op(ResourceType.CPU, "a").read(src).create(g.create_data(2))
+    n = g.create_op(ResourceType.NETWORK, "n").read(a.output).create(g.create_data(2))
+    b = g.create_op(ResourceType.CPU, "b").read(a.output, n.output).create(
+        g.create_data(2)
+    )
+    a.to(n, DepType.SYNC)
+    n.to(b, DepType.ASYNC)
+    a.to(b, DepType.ASYNC)
+    with pytest.raises(GraphError, match="stage DAG has a cycle"):
+        plan_job(g)
+
+
+def test_two_stage_cycle_without_op_group_cycle_is_rejected():
+    """A disk op reading g1 and g2 joins them into one task, where
+    g1 -> n -> g3 -> n2 -> g2: two stages wait on each other although the
+    op groups form a DAG."""
+    g = OpGraph("two-stage-cycle")
+    src = g.create_data(2)
+    g.set_input(src, [1.0, 1.0])
+
+    def cpu(name, *reads):
+        return g.create_op(ResourceType.CPU, name).read(*reads).create(g.create_data(2))
+
+    def net(name, data):
+        return g.create_op(ResourceType.NETWORK, name).read(data).create(g.create_data(2))
+
+    g1 = cpu("g1", src)
+    n = net("n", g1.output)
+    g3 = cpu("g3", n.output)
+    n2 = net("n2", g3.output)
+    g2 = cpu("g2", n2.output)
+    d = g.create_op(ResourceType.DISK, "d").read(g1.output, g2.output)
+    g1.to(n, DepType.SYNC)
+    n.to(g3, DepType.ASYNC)
+    g3.to(n2, DepType.SYNC)
+    n2.to(g2, DepType.ASYNC)
+    g1.to(d, DepType.ASYNC)
+    g2.to(d, DepType.ASYNC)
+    with pytest.raises(GraphError, match=r"stage DAG has a cycle: '.*' -> '.*' -> '.*'"):
+        plan_job(g)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.dataflow import ResourceType
+from repro.dataflow import ResourceType, TaskState
+from repro.execution.jobmanager import JobManager
 from repro.experiments.common import Scale
 from repro.faults import (
     FaultPlan,
@@ -74,6 +75,41 @@ def test_crash_recovers_via_lineage_and_all_jobs_complete():
     # recovery costs time but never correctness
     baseline, _ = run_system(None)
     assert system.makespan() >= baseline.makespan()
+
+
+def test_recount_after_rewinding_done_producers_matches_task_states(monkeypatch):
+    """After a crash rewinds DONE producer tasks, each stage's counters equal
+    what its tasks' states say: ``remaining_tasks`` its unfinished tasks and
+    ``remaining_parents`` its parents with unfinished tasks."""
+    rewound_done = []
+    recounted = []
+    rewind = JobManager.fault_rewind_task
+    recount = JobManager.fault_recount_dependencies
+
+    def spy_rewind(jm, task):
+        if task.state is TaskState.DONE:
+            rewound_done.append(task)
+        return rewind(jm, task)
+
+    def spy_recount(jm):
+        recount(jm)
+        for stage in jm.job.plan.stages:
+            unfinished = [t for t in stage.tasks if t.state is not TaskState.DONE]
+            assert stage.remaining_tasks == len(unfinished)
+            assert stage.remaining_parents == sum(
+                1 for p in stage.parents if p.remaining_tasks > 0
+            )
+            if stage.remaining_parents:
+                assert not any(t.state is TaskState.READY for t in stage.tasks)
+        recounted.append(jm)
+
+    monkeypatch.setattr(JobManager, "fault_rewind_task", spy_rewind)
+    monkeypatch.setattr(JobManager, "fault_recount_dependencies", spy_recount)
+    system, _ = run_system(FaultPlan((WorkerCrash(at=2.0, worker=1),)))
+    assert rewound_done and recounted
+    assert system.all_done
+    for job in system.jobs:
+        assert all(s.remaining_tasks == 0 for s in job.plan.stages)
 
 
 def test_crash_releases_dead_workers_admission_share():

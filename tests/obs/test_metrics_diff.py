@@ -127,5 +127,9 @@ def test_committed_baseline_shape():
     assert doc["tolerances"]["default_rel"] == 0.0
     assert len(doc["metrics"]) > 100
     assert doc["wall_clock"]["metrics_bit_identical"] is True
+    wall = doc["wall_clock"]
+    for key in ("overhead", "recorder_overhead"):
+        lo, hi = wall[f"{key}_quartiles_pct"]
+        assert lo <= wall[f"{key}_pct"] <= hi
     # self-diff of the committed metrics is clean by construction
     assert metrics_diff.diff(doc, dict(doc["metrics"])) == []

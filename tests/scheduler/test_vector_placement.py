@@ -116,7 +116,7 @@ def test_vector_engine_matches_scalar_and_reference(seed, stage_aware):
     assert run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
 
 
-def test_ursa_config_selects_vector_engine():
+def test_ursa_config_selects_engine_not_oracle():
     """A default system places through the one engine; the oracle is only
     reachable through the ``placement`` seam, and the retired engine knob
     is gone from the config."""
