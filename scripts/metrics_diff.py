@@ -173,7 +173,9 @@ def _plain_run(n_jobs: int) -> tuple[bytes, float]:
     """One full simulation of the overhead workload: ``n_jobs`` synthetic
     setting-1 Type-1 jobs on the bench cluster, EJF with W=5, seed 1.
 
-    Returns (pickled metrics, wall seconds of ``system.run``).  Whatever
+    Returns (pickled metrics, this process's CPU seconds in ``system.run``,
+    from ``time.process_time``, which leaves out time spent descheduled on
+    a shared host).  Whatever
     observers the caller enabled watch the run; the pickled metrics let the
     caller check that they are pure observers.
     """
@@ -187,15 +189,16 @@ def _plain_run(n_jobs: int) -> tuple[bytes, float]:
     sc = SCALES["bench"]
     system = UrsaSystem(Cluster(sc.cluster), UrsaConfig(policy="ejf", policy_weight=5.0))
     submit_workload(system, synthetic_setting1(params_for(sc), n_jobs=n_jobs), seed=1)
-    start = time.perf_counter()
+    start = time.process_time()
     system.run(max_events=sc.max_events)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     require_done(system, "overhead workload")
     return pickle.dumps(compute_metrics(system)), elapsed
 
 
 def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
-    """Observation-off vs observation-on wall clock on one synthetic workload.
+    """Observation-off vs observation-on process CPU time on one synthetic
+    workload.
 
     Two observed variants run against the same off baseline: telemetry on
     (timed through ``disable()`` and ``summary()``, which fold the log)
@@ -218,11 +221,11 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
         tel = tel_mod.enable()
         try:
             metrics, t = _plain_run(n_jobs)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
         finally:
             tel_mod.disable()
         tel.summary()
-        return metrics, t + time.perf_counter() - t0
+        return metrics, t + time.process_time() - t0
 
     def run_recorder():
         rec = rec_mod.enable()
@@ -230,9 +233,9 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
             metrics, t = _plain_run(n_jobs)
         finally:
             rec_mod.disable()
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         len(rec.events)
-        return metrics, t + time.perf_counter() - t0
+        return metrics, t + time.process_time() - t0
 
     variants = {"off": run_off, "telemetry": run_telemetry, "recorder": run_recorder}
     times: dict[str, list[float]] = {name: [] for name in variants}
@@ -252,8 +255,8 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
 
     return {
         "workload": f"synthetic setting-1, {n_jobs} jobs, EJF W=5, bench scale, seed 1",
-        "method": "median (and quartiles) of per-pair on/off ratios, "
-                  "rotating run order",
+        "method": "process CPU time (time.process_time); median (and "
+                  "quartiles) of per-pair on/off ratios, rotating run order",
         "repeats": repeats,
         "telemetry_off_s": [round(t, 2) for t in times["off"]],
         "telemetry_on_s": [round(t, 2) for t in times["telemetry"]],
@@ -354,7 +357,7 @@ def cmd_write(args) -> int:
         "collect_seconds": round(elapsed, 2),
     }
     if args.measure_overhead:
-        print("metrics_diff: measuring telemetry wall-clock overhead...",
+        print("metrics_diff: measuring observation CPU-time overhead...",
               file=sys.stderr)
         doc["wall_clock"] = measure_overhead(args.repeats, args.n_jobs)
     Path(args.baseline).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -67,7 +67,7 @@ class Monotask:
         self.work_mb: float = 0.0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        # network: (machine, size) pull list resolved from metadata
+        # network: (machine, MB) pull, one entry per sender machine
         self.sources: Optional[list[tuple[int, float]]] = None
         # expected size of this monotask's final output partition
         self.expected_out_mb: float = 0.0

@@ -12,7 +12,6 @@ from .jobprocess import JobProcess
 from .metadata import (
     DEFAULT_MB_PER_ELEMENT,
     MetadataStore,
-    PartitionRecord,
     estimate_payload_mb,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "JobProcess",
     "DEFAULT_MB_PER_ELEMENT",
     "MetadataStore",
-    "PartitionRecord",
     "estimate_payload_mb",
 ]

@@ -4,9 +4,9 @@ The JM owns the job's monotask DAG and drives the execution flow:
 
 * it maintains the list of **ready tasks** (all parent stages complete);
 * when a task becomes ready, it resolves every monotask's input sizes from
-  the metadata store (sizes are known at ready time, §4.2.1), computes the
-  task's estimated per-resource usage and memory, and reports the task to
-  the scheduling layer for placement;
+  the metadata store (sizes are known at ready time, §4.2.1; a network pull
+  is one ``(machine, MB)`` entry per sender machine), computes the task's
+  estimated usage and memory, and reports it to the scheduler for placement;
 * when the scheduler places a task on a worker, the JM sends the task's
   source monotasks to that worker's queues, and as each monotask completes
   it releases newly-ready intra-task monotasks *to the same worker*;

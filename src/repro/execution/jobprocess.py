@@ -6,7 +6,8 @@ A JP runs monotasks on its worker's machine:
   is what makes Ursa's SE≈UE: the core is held exactly while it is driven),
   runs the fused UDF chain on completion, and records outputs.
 * **Network** — opens a pull-based transfer from all sender machines at once
-  through the cluster fabric (§4.2.3).
+  through the cluster fabric (§4.2.3), one ``(machine, MB)`` entry per
+  sender; the metadata store gathers any real shard payloads.
 * **Disk** — submits the read/write to the machine's disk.
 
 The JP reports completion back to the JM, which "releases the resource to
@@ -126,9 +127,8 @@ class JobProcess:
         return produced
 
     def _run_network(self, mt: Monotask, on_done: DoneCallback) -> None:
-        sources = mt.sources or []
         self._inflight[mt.mt_id] = self.jm.cluster.network.start_transfer(
-            self.machine.index, sources, self._finish_network, mt, on_done
+            self.machine.index, mt.sources or [], self._finish_network, mt, on_done
         )
 
     def _finish_network(self, mt: Monotask, on_done: DoneCallback) -> None:
@@ -136,33 +136,11 @@ class JobProcess:
             return  # aborted after a local-only call_soon completion
         # Assemble the pulled partition (real payloads when present).
         op = mt.head_op
-        out = op.output
-        if out is not None:
-            payload = self._gather_shards(mt)
-            size = mt.input_size_mb if payload is None else None
-            if payload is not None:
-                self.jm.metadata.record(out, mt.partition_index, 0.0, self.machine.index, payload)
-            else:
-                self.jm.metadata.record(out, mt.partition_index, size, self.machine.index)
+        if op.output is not None:
+            meta = self.jm.metadata
+            payload = meta.gather_shards(op, mt.partition_index)
+            meta.record(op.output, mt.partition_index, mt.input_size_mb, self.machine.index, payload)
         self._complete(mt, on_done)
-
-    def _gather_shards(self, mt: Monotask) -> Any:
-        op = mt.head_op
-        idx = mt.partition_index
-        # same-package fast path over metadata.get()/shard_payload(): this
-        # scans every source partition for every network monotask, and most
-        # workloads carry no real payloads at all
-        records = self.jm.metadata._records
-        items: list = []
-        real = False
-        for h in op.reads:
-            did = h.data_id
-            for i in range(h.num_partitions):
-                payload = records[(did, i)].payload
-                if isinstance(payload, dict):
-                    real = True
-                    items.extend(payload.get(idx, ()))
-        return items if real else None
 
     def _run_disk(self, mt: Monotask, on_done: DoneCallback) -> None:
         self._inflight[mt.mt_id] = self.machine.disk.submit(
@@ -177,15 +155,9 @@ class JobProcess:
         if out is not None:
             # disk read surfaces the input payload into memory; disk write
             # records the final dataset at this worker
-            payload = None
-            for h in op.reads:
-                if self.jm.metadata.has(h, mt.partition_index):
-                    rec = self.jm.metadata.get(h, mt.partition_index)
-                    payload = rec.payload
-                    break
-            self.jm.metadata.record(
-                out, mt.partition_index, mt.expected_out_mb, self.machine.index, payload
-            )
+            meta, idx = self.jm.metadata, mt.partition_index
+            payload = next((meta.get(h, idx).payload for h in op.reads if meta.has(h, idx)), None)
+            meta.record(out, idx, mt.expected_out_mb, self.machine.index, payload)
         self._complete(mt, on_done)
 
     # ------------------------------------------------------------------

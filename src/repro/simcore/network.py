@@ -16,7 +16,8 @@ Two fabrics are provided:
   simplification does not change who wins.
 
 Both expose the same ``start_transfer`` interface so the execution layers are
-fabric-agnostic.
+fabric-agnostic; a pull's ``sources`` hold one ``(machine, MB)`` entry per
+sender machine.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Transfer:
     """An in-flight pull of data to ``dst`` from one or more senders."""
 
     __slots__ = (
-        "dst", "sources", "total_mb", "callback", "args",
+        "dst", "total_mb", "callback", "args",
         "started_at", "finished_at", "cancelled",
         "_service_req", "_flows",
     )
@@ -51,7 +52,6 @@ class Transfer:
         started_at: float,
     ):
         self.dst = dst
-        self.sources = list(sources)
         self.total_mb = float(sum(size for _src, size in sources))
         self.callback = callback
         self.args = args
@@ -117,10 +117,8 @@ class ReceiverSideFabric(NetworkFabric):
 
     def start_transfer(self, dst, sources, callback, *args) -> Transfer:
         tr = Transfer(dst, sources, callback, args, self.sim.now)
-        local = [s for s in tr.sources if s[0] == dst]
-        remote_mb = tr.total_mb - sum(size for _src, size in local)
-        # Local partitions cost no network time; only remote bytes traverse
-        # the downlink.
+        # Local bytes cost no network time; only remote bytes cross the downlink.
+        remote_mb = tr.total_mb - next((mb for m, mb in sources if m == dst), 0.0)
         if remote_mb <= _EPS:
             tr.finished_at = self.sim.now
             self.sim.call_soon(callback, *args)
@@ -164,8 +162,11 @@ class _Flow:
 class MaxMinFabric(NetworkFabric):
     """Water-filling max-min fair fabric over uplinks and downlinks.
 
-    State changes trigger a full re-allocation, which is O(flows × machines)
-    in the worst case; acceptable for the ablation-scale runs it serves.
+    A transfer opens one flow per remote sender *machine* (pulls arrive
+    aggregated per machine; one flow per source partition would give a
+    sender holding several partitions several shares of its uplink).  State
+    changes trigger a full re-allocation, which is O(flows × machines) in
+    the worst case; acceptable for the ablation-scale runs it serves.
     """
 
     def __init__(
@@ -189,7 +190,7 @@ class MaxMinFabric(NetworkFabric):
     def start_transfer(self, dst, sources, callback, *args) -> Transfer:
         tr = Transfer(dst, sources, callback, args, self.sim.now)
         self._advance()
-        for src, size in tr.sources:
+        for src, size in sources:
             if src == dst or size <= _EPS:
                 continue
             flow = _Flow(src, dst, size, tr)

@@ -52,12 +52,14 @@ def test_execution_time_matches_analytic_model():
 
 
 def test_shuffle_moves_expected_bytes():
-    """Each deser task pulls 1/p_out of each msg partition."""
+    """Each deser task pulls 1/p_out of each msg partition, at most one
+    (machine, MB) entry per sender machine."""
     job, jm, cluster, _ = run_job(shuffle_graph(p_in=3, p_out=2, size=10.0))
     net_mts = [m for m in job.plan.monotasks if m.rtype is ResourceType.NETWORK]
     for m in net_mts:
         assert m.input_size_mb == pytest.approx(15.0)  # 3 partitions * 10/2
-        assert len(m.sources) == 3
+        assert len(m.sources) <= cluster.num_machines
+        assert sum(mb for _machine, mb in m.sources) == pytest.approx(15.0)
 
 
 def test_metadata_records_partition_locations():

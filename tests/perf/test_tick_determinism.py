@@ -76,14 +76,14 @@ def test_fast_path_bit_identical_in_task_mode():
 
 
 @pytest.mark.parametrize("policy", ["ejf", "srjf"])
-def test_vector_engine_bit_identical(policy):
+def test_engine_bit_identical(policy):
     """The placement engine alone (its repeat-profile F rows included)
     reproduces the oracle placement's metrics under the production
     policies."""
     assert _metrics(policy, oracle="placement") == _metrics(policy)
 
 
-def test_vector_engine_bit_identical_in_task_mode():
+def test_engine_bit_identical_in_task_mode():
     assert _metrics("ejf", oracle="placement", stage_aware=False) == _metrics(
         "ejf", stage_aware=False
     )

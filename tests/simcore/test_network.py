@@ -1,10 +1,17 @@
 """Tests for the network fabrics."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
+from repro.dataflow import ResourceType
+from repro.experiments.common import SCALES
+from repro.scheduler import UrsaSystem
 from repro.simcore import MaxMinFabric, ReceiverSideFabric, Simulation, StepSeries
+from repro.workloads import submit_workload, tpch2_workload
 
 
 def test_single_transfer_uses_full_downlink():
@@ -241,3 +248,29 @@ def test_property_receiver_share_n_equal_pulls(n):
         net.start_transfer(2, [(0, 100.0)], lambda: done.append(sim.now))
     sim.drain()
     assert all(t == pytest.approx(n * 1.0) for t in done)
+
+
+def _shuffle_job_on(fabric):
+    """A two-job TPC-H-style shuffle workload run to completion on ``fabric``."""
+    sc = SCALES["tiny"]
+    system = UrsaSystem(Cluster(replace(sc.cluster, fabric=fabric)))
+    submit_workload(
+        system, tpch2_workload(n_jobs=2, scale=sc.workload_scale, max_parallelism=16)
+    )
+    system.run(max_events=sc.max_events)
+    assert system.all_done
+    return [
+        mt.input_size_mb
+        for job in system.jobs
+        for mt in job.plan.monotasks
+        if mt.rtype is ResourceType.NETWORK
+    ]
+
+
+def test_maxmin_fabric_runs_shuffle_job_to_completion():
+    maxmin = _shuffle_job_on("maxmin")
+    receiver = _shuffle_job_on("receiver")
+    assert maxmin and len(maxmin) == len(receiver)
+    # the same bytes are pulled; only the per-machine summation order may
+    # differ, because the two fabrics place tasks on different machines
+    assert maxmin == pytest.approx(receiver, rel=1e-12)
